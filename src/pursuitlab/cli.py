@@ -19,8 +19,6 @@ from . import experiments, games, graphs, logic, thresholds
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
 
-_ARENA_STATS_CAP = 500_000  # build the explicit arena for exact stats below this
-
 
 class UsageError(Exception):
     pass
@@ -224,16 +222,8 @@ def _cmd_solve(args) -> int:
             "k_max": args.k_max, "max_states": args.max_states,
         },
         "winner": winner.value,
+        "state_estimate": games.state_estimate(g.n, v),
     }
-    estimate = games.state_estimate(g.n, v)
-    if estimate <= _ARENA_STATS_CAP:
-        arena = games.build_arena(g, v, args.max_states)
-        result["state_count"] = arena.state_count
-        result["transition_count"] = arena.transition_count
-        result["state_count_exact"] = True
-    else:
-        result["state_count"] = estimate  # worst-case bound; arena not built
-        result["state_count_exact"] = False
     if args.cop_number:
         result["cop_number"] = games.cop_number(g, args.k_max, args.max_states)
     result["wall_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
@@ -309,11 +299,11 @@ def _cmd_threshold(args) -> int:
         with open(args.rooted) as fh:
             rg = thresholds.read_rooted(fh.read())
     fn = thresholds.threshold(rg, args.convention)
+    mad = thresholds.mad(rg, args.convention)
     config = {"command": "threshold", "rooted": args.rooted, "gadget": args.gadget,
               "convention": args.convention}
     _emit(_json_dump({"config": config, **fn.to_json_dict(),
-                      "mad_num": thresholds.mad(rg, args.convention).numerator,
-                      "mad_den": thresholds.mad(rg, args.convention).denominator,
+                      "mad_num": mad.numerator, "mad_den": mad.denominator,
                       "describe": fn.describe()}), args.out)
     return 0
 

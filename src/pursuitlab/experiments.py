@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -324,7 +325,10 @@ def _run_chunks(worker, static_args, samples: int, jobs: int) -> int:
         ranges.append((start, min(start + step, samples)))
     if jobs <= 1:
         return sum(worker(static_args + r) for r in ranges)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # With the fork start method the pool forks every worker it is given at
+    # once, so cap it at the core count; the chunks, and so the result, still
+    # depend only on jobs.
+    with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
         return sum(pool.map(worker, [static_args + r for r in ranges]))
 
 

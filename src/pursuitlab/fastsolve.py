@@ -1,20 +1,30 @@
 """Vectorized winner computation for the standard game variants.
 
 Every variant here has a state space that factors as (cop configuration) x
-(robber vertex) x (turn).  Robber sets are packed into bitmask words per
-configuration, so one attractor iteration is a handful of bulk array (or
-big-int) operations instead of per-transition work.  The update is the same
-least fixed point the explicit worklist solver computes:
+(robber vertex) x (turn), and the winner is the same least fixed point the
+explicit worklist solver computes:
 
     CT[cfg] = occupied[cfg] | union of RT[cfg'] over joint cop moves
     RT[cfg] = occupied[cfg] | { r : closed_nbhd(r) subset of CT[cfg] }
 
 with capture states seeding both sides.  Cops win iff some legal placement
-configuration ends up with a full CT row.  Agreement with the explicit
-arena solver is enforced by the test suite.
+configuration ends up with a full CT row.  Three engines compute it:
+
+  * single-cop games (Classic(1), Complementary) keep one big-int robber set
+    per cop vertex;
+  * Classic(k >= 2), Tandem and Traps(1,t) share one kernel, `_fixpoint`,
+    over a tensor of configurations whose robber sets are packed into uint64
+    words; each variant supplies only its capture rows, its legal placements
+    and its cop step, built from `_nbhd_or`;
+  * Traps(m >= 2) and Roadblocks are left to the explicit arena
+    (`winner` returns None).
+
+Agreement with the explicit arena solver is enforced by the test suite.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
@@ -65,174 +75,108 @@ def _single_cop_winner(cop_closed: list[int], robber_closed: list[int], n: int) 
         rt = new_rt
 
 
-def _pack_int(x: int, words: int) -> np.ndarray:
-    out = np.zeros(words, dtype=np.uint64)
-    for w in range(words):
-        out[w] = (x >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
+def _pack(masks: list[int], n: int) -> np.ndarray:
+    """Vertex-set bitmasks over n vertices as rows of uint64 words, low word first."""
+    words = (n + 63) >> 6
+    raw = b"".join(m.to_bytes(8 * words, "little") for m in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), words).astype(np.uint64)
+
+
+def _nbhd_or(u: np.ndarray, axis: int, closed: list[np.ndarray]) -> np.ndarray:
+    """out[..., v, ...] = OR of u[..., x, ...] over x in closed[v], along one axis."""
+    out = np.empty_like(u)
+    for v, nb in enumerate(closed):
+        out[(slice(None),) * axis + (v,)] = np.bitwise_or.reduce(u.take(nb, axis=axis), axis=axis)
     return out
 
 
-def _pack_rows(masks: list[int], words: int) -> np.ndarray:
-    return np.stack([_pack_int(m, words) for m in masks])
+def _fixpoint(g: Graph, occ: np.ndarray, cop_step, placed) -> Winner:
+    """Least fixed point over a tensor of cop configurations.
 
-
-def _tandem_winner(g: Graph) -> Winner:
-    n = g.n
-    words = (n + 63) >> 6
-    full = _pack_int((1 << n) - 1, words)
-    bits = _pack_rows([1 << v for v in range(n)], words)
-    closed = [np.fromiter((u for u in range(n) if u == v or g.has_edge(u, v)), dtype=np.intp) for v in range(n)]
-    nmask = _pack_rows(_closed_masks(g), words)
-    occ = bits[:, None, :] | bits[None, :, :]
-    valid = np.zeros((n, n), dtype=bool)
-    for c1 in range(n):
-        valid[c1, closed[c1]] = True  # equal or adjacent pairs
-    rt = occ.copy()
-    while True:
-        v_arr = np.empty((n, words), dtype=np.uint64)
-        for a in range(n):
-            v_arr[a] = np.bitwise_or.reduce(rt[a][closed[a]], axis=0)
-        w_arr = np.empty_like(v_arr)
-        for c1 in range(n):
-            w_arr[c1] = np.bitwise_or.reduce(v_arr[closed[c1]], axis=0)
-        ct = occ | w_arr[:, None, :]
-        full_rows = (ct == full).all(axis=2)
-        if (full_rows & valid).any():
-            return Winner.COP
-        new_rt = occ.copy()
-        for r in range(n):
-            m = nmask[r]
-            ok = ((ct & m) == m).all(axis=2)
-            new_rt[ok, r >> 6] |= np.uint64(1 << (r & 63))
-        if np.array_equal(new_rt, rt):
-            return Winner.ROBBER
-        rt = new_rt
-
-
-def _classic_multi_winner(g: Graph, k: int) -> Winner:
-    """k >= 2 cops with ordered position tuples and per-axis move unions.
-
-    The union over joint cop moves decomposes into one closed-neighborhood
-    OR-reduction per cop axis, which is what keeps this polynomial in n
-    instead of exponential in the joint branching.
+    occ[cfg] holds the packed robber vertices captured in configuration cfg
+    (shape: configuration axes + words).  cop_step(RT) returns, per
+    configuration, the union of RT over its cop moves (broadcastable to occ).
+    placed indexes the configuration axes of the legal placements.
     """
     n = g.n
-    words = (n + 63) >> 6
-    full = _pack_int((1 << n) - 1, words)
-    bits = _pack_rows([1 << v for v in range(n)], words)
-    closed = [np.fromiter((u for u in range(n) if u == v or g.has_edge(u, v)), dtype=np.intp) for v in range(n)]
-    nmask = _pack_rows(_closed_masks(g), words)
-    shape = (n,) * k + (words,)
-    occ = np.zeros(shape, dtype=np.uint64)
-    for ax in range(k):
-        view = (1,) * ax + (n,) + (1,) * (k - 1 - ax) + (words,)
-        occ |= bits.reshape(view)
-    flat_occ = occ.reshape(-1, words)
-    rt = occ.copy()
+    nmask = _pack(_closed_masks(g), n)
+    bits = _pack([1 << r for r in range(n)], n)
+    full = _pack([(1 << n) - 1], n)[0]
+    flat_occ = occ.reshape(-1, occ.shape[-1])
+    rt = occ
     while True:
-        u = rt
-        for ax in range(k):
-            new_u = np.empty_like(u)
-            for v in range(n):
-                sel = u.take(closed[v], axis=ax)
-                new_u[(slice(None),) * ax + (v,)] = np.bitwise_or.reduce(sel, axis=ax)
-            u = new_u
-        ct = occ | u
-        flat_ct = ct.reshape(-1, words)
-        if (flat_ct == full).all(axis=1).any():
+        ct = occ | cop_step(rt)
+        if (ct[placed] == full).all(axis=-1).any():
             return Winner.COP
+        flat_ct = ct.reshape(flat_occ.shape)
         new_rt = flat_occ.copy()
         for r in range(n):
-            m = nmask[r]
-            ok = ((flat_ct & m) == m).all(axis=1)
-            new_rt[ok, r >> 6] |= np.uint64(1 << (r & 63))
-        new_rt = new_rt.reshape(shape)
+            ok = ((flat_ct & nmask[r]) == nmask[r]).all(axis=1)
+            new_rt[ok] |= bits[r]
+        new_rt = new_rt.reshape(occ.shape)
         if np.array_equal(new_rt, rt):
             return Winner.ROBBER
         rt = new_rt
 
 
-def _traps_single_cop_winner(g: Graph, t: int) -> Winner:
-    """One cop with a stock of t reusable traps."""
-    from itertools import combinations
-
-    n = g.n
-    words = (n + 63) >> 6
-    full = _pack_int((1 << n) - 1, words)
-    closed = [sorted(set(g.neighbors(v)) | {v}) for v in range(n)]
-    nmask = _pack_rows(_closed_masks(g), words)
-
-    subsets: list[tuple[int, ...]] = []
-    for size in range(t + 1):
-        subsets.extend(combinations(range(n), size))
-    sub_index = {s: i for i, s in enumerate(subsets)}
-    s_count = len(subsets)
-    add_target = {}
-    del_target = {}
-    for si, sub in enumerate(subsets):
-        if len(sub) < t:
-            for v in range(n):
-                if v not in sub:
-                    add_target[(si, v)] = sub_index[tuple(sorted(sub + (v,)))]
-        for v in sub:
-            del_target[(si, v)] = sub_index[tuple(x for x in sub if x != v)]
-
-    occ_masks = []
-    for c in range(n):
-        for sub in subsets:
-            m = 1 << c
-            for s in sub:
-                m |= 1 << s
-            occ_masks.append(m)
-    occ = _pack_rows(occ_masks, words)
-
-    succ_rows: list[list[int]] = []
-    for c in range(n):
-        for si in range(s_count):
-            row = []
-            for c2 in closed[c]:
-                base = c2 * s_count
-                row.append(base + si)
-                a = add_target.get((si, c2))
-                if a is not None:
-                    row.append(base + a)
-                d = del_target.get((si, c2))
-                if d is not None:
-                    row.append(base + d)
-            succ_rows.append(row)
-    width = max(len(r) for r in succ_rows)
-    succ = np.empty((n * s_count, width), dtype=np.intp)
-    for i, row in enumerate(succ_rows):
-        succ[i, : len(row)] = row
-        succ[i, len(row):] = row[0]  # padding duplicates are harmless in a union
-
-    placement_ids = np.array([c * s_count for c in range(n)], dtype=np.intp)  # no traps yet
-    rt = occ.copy()
-    while True:
-        ct = occ | np.bitwise_or.reduce(rt[succ], axis=1)
-        if (ct[placement_ids] == full).all(axis=1).any():
-            return Winner.COP
-        new_rt = occ.copy()
-        for r in range(n):
-            m = nmask[r]
-            ok = ((ct & m) == m).all(axis=1)
-            new_rt[ok, r >> 6] |= np.uint64(1 << (r & 63))
-        if np.array_equal(new_rt, rt):
-            return Winner.ROBBER
-        rt = new_rt
+def _trap_sets(n: int, t: int) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Trap-site sets of size <= t as bitmasks (the empty set first), plus the
+    tables add[c, i] / rem[c, i]: the set reached from set i by placing /
+    picking up a trap at c, or i itself when that action is not legal."""
+    sets = [s for size in range(t + 1) for s in combinations(range(n), size)]
+    index = {s: i for i, s in enumerate(sets)}
+    add = np.tile(np.arange(len(sets)), (n, 1))
+    rem = add.copy()
+    for i, s in enumerate(sets):
+        for c in s:
+            j = index[tuple(x for x in s if x != c)]
+            rem[c, i] = j
+            add[c, j] = i
+    return [sum(1 << c for c in s) for s in sets], add, rem
 
 
 def winner(g: Graph, v: Variant) -> Winner | None:
     """Winner for the supported variants, or None when unsupported."""
-    if isinstance(v, Classic):
-        if v.k == 1:
-            masks = _closed_masks(g)
-            return _single_cop_winner(masks, masks, g.n)
-        return _classic_multi_winner(g, v.k)
+    n = g.n
+    masks = _closed_masks(g)
+    if isinstance(v, Classic) and v.k == 1:
+        return _single_cop_winner(masks, masks, n)
     if isinstance(v, Complementary):
-        return _single_cop_winner(_closed_masks(complement(g)), _closed_masks(g), g.n)
+        return _single_cop_winner(_closed_masks(complement(g)), masks, n)
+    closed = [np.array(_mask_to_list(m)) for m in masks]
+    bits = _pack([1 << c for c in range(n)], n)
+    if isinstance(v, Classic):
+        k = v.k
+        occ = np.zeros((n,) * k + bits.shape[1:], dtype=np.uint64)
+        for ax in range(k):
+            occ |= bits.reshape((1,) * ax + (n,) + (1,) * (k - 1 - ax) + (-1,))
+
+        def classic_step(rt):
+            for ax in range(k):
+                rt = _nbhd_or(rt, ax, closed)
+            return rt
+
+        return _fixpoint(g, occ, classic_step, ...)
     if isinstance(v, Tandem):
-        return _tandem_winner(g)
+        # The lead moves inside its closed neighbourhood, then the second cop
+        # anywhere in N[lead]: OR over the second axis, read on the diagonal.
+        diag = np.arange(n)
+        valid = np.zeros((n, n), dtype=bool)  # equal or adjacent pairs
+        for c, nb in enumerate(closed):
+            valid[c, nb] = True
+        return _fixpoint(
+            g,
+            bits[:, None] | bits[None, :],
+            lambda rt: _nbhd_or(_nbhd_or(rt, 1, closed)[diag, diag], 0, closed)[:, None],
+            valid,
+        )
     if isinstance(v, Traps) and v.m == 1:
-        return _traps_single_cop_winner(g, v.t)
+        sites, add, rem = _trap_sets(n, v.t)
+        cop = np.arange(n)[:, None]
+        return _fixpoint(
+            g,
+            bits[:, None] | _pack(sites, n)[None, :],
+            lambda rt: _nbhd_or(rt | rt[cop, add] | rt[cop, rem], 0, closed),
+            (slice(None), 0),  # no traps laid before the first move
+        )
     return None

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 from pursuitlab.cli import main
+from pursuitlab.games import Classic, state_estimate
 from pursuitlab.graphs import read_edge_list
 
 
@@ -79,7 +80,7 @@ def test_solve_named_examples(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["winner"] == "Cop"
-    assert doc["state_count"] > 0 and doc["transition_count"] > 0
+    assert doc["state_estimate"] == state_estimate(10, Classic(3))
     code, out, _ = run_cli(capsys, "solve", "--named", "c4", "--variant", "tandem")
     assert json.loads(out)["winner"] == "Cop"
     code, out, _ = run_cli(capsys, "solve", "--named", "k33", "--variant", "traps", "--m", "1", "--traps", "1")

@@ -1,8 +1,10 @@
 import math
+import os
 from fractions import Fraction
 
 import pytest
 
+from pursuitlab import experiments
 from pursuitlab.experiments import (
     CSV_COLUMNS,
     ExperimentError,
@@ -139,6 +141,29 @@ def test_estimate_win_parallel_invariant():
     r1 = estimate_win(Tandem(), Winner.COP, 20, 0.5, 60, 11, jobs=1)
     r2 = estimate_win(Tandem(), Winner.COP, 20, 0.5, 60, 11, jobs=8)
     assert r1.successes == r2.successes
+
+
+def test_worker_pool_is_capped_at_the_core_count(monkeypatch):
+    asked = []
+
+    class SerialPool:  # stands in for the process pool; starts no process
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    f = extension_axiom(1, 2)
+    many = estimate_mu(f, 12, 0.5, 40, 9, jobs=5000)
+    assert asked == [min(5000, os.cpu_count() or 1)]
+    assert many.successes == estimate_mu(f, 12, 0.5, 40, 9).successes
 
 
 # -------------------------------------------------------------------- wilson

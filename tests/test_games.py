@@ -134,8 +134,8 @@ def test_solver_fixpoint_property():
 
 
 def test_fast_and_explicit_backends_agree_exhaustively():
-    variants = [Classic(1), Classic(2), Tandem(), Complementary(), Traps(1, 1)]
-    for g in all_graphs(4):
+    variants = [Classic(1), Classic(2), Classic(3), Tandem(), Complementary(), Traps(1, 1), Traps(1, 2)]
+    for g in (g for n in range(1, 5) for g in all_graphs(n)):
         for v in variants:
             a = build_arena(g, v)
             assert solve(a).winner[a.root] is game_value(g, v)
