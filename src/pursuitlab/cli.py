@@ -213,7 +213,19 @@ def _cmd_solve(args) -> int:
     g = _load_graph(args)
     v = _load_variant(args)
     t0 = time.perf_counter()
-    winner = games.game_value(g, v, args.max_states)
+    cop_number = None
+    if args.cop_number and isinstance(v, games.Classic) and v.k <= args.k_max:
+        # Classic(k) is a cop win iff the cop number is at most k, so the
+        # cop-number search already solves it; keep its budget error first.
+        estimate = games.state_estimate(g.n, v)
+        if estimate > args.max_states:
+            raise games.ArenaBudgetError(estimate, args.max_states)
+        cop_number = games.cop_number(g, args.k_max, args.max_states)
+        winner = games.Winner.COP if cop_number is not None and cop_number <= v.k else games.Winner.ROBBER
+    else:
+        winner = games.game_value(g, v, args.max_states)
+        if args.cop_number:
+            cop_number = games.cop_number(g, args.k_max, args.max_states)
     result = {
         "config": {
             "command": "solve", "graph": args.graph, "named": args.named,
@@ -225,7 +237,7 @@ def _cmd_solve(args) -> int:
         "state_estimate": games.state_estimate(g.n, v),
     }
     if args.cop_number:
-        result["cop_number"] = games.cop_number(g, args.k_max, args.max_states)
+        result["cop_number"] = cop_number
     result["wall_ms"] = round((time.perf_counter() - t0) * 1000.0, 3)
     _emit(_json_dump(result), args.out)
     return 0

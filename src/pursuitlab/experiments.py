@@ -1,10 +1,11 @@
 """Exact and Monte Carlo estimation of sentence and game-outcome probabilities.
 
 mu_n(phi) is the fraction of the 2**C(n,2) labeled n-vertex graphs satisfying
-phi, which equals the G(n, 1/2) measure; exact_mu enumerates all edge masks.
-Monte Carlo trials derive per-trial seeds from the master seed with a fixed
-integer mix, so runs are reproducible and independent of the parallelism
-degree.
+phi, which equals the G(n, 1/2) measure; exact_mu enumerates all edge masks,
+64 to a uint64 lane of the logic module's array evaluator.  Monte Carlo
+trials derive per-trial seeds from the master seed with a fixed integer mix,
+so runs are reproducible and independent of the parallelism degree; the
+sentence is evaluated on each chunk of sampled graphs in one batch.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .games import DEFAULT_MAX_STATES, ArenaBudgetError, Variant, Winner, game_value, state_estimate, variant_id
 from .graphs import PFamily, gnp_sample
-from .logic import Edge, Eq, Exists, Forall, Formula, Implies, And, Or, Not, evaluate, extension_axiom, to_text
+from .logic import Formula, evaluate_batch, evaluate_lanes, extension_axiom, to_text
 
 __all__ = [
     "EstimateReport",
@@ -150,109 +151,21 @@ CSV_COLUMNS = [
 
 
 # ---------------------------------------------------------------------------
-# Exact mu by full enumeration of edge masks, vectorized over mask chunks.
+# Exact mu by full enumeration of edge masks, 64 masks to a uint64 lane.
 
 _EXACT_MU_MAX_N = 7
-_CHUNK = 1 << 18
+_LOW_EDGE_BITS = [sum(1 << b for b in range(64) if b >> e & 1) for e in range(6)]
 
 
-class _MaskContext:
-    """Per-chunk cache of edge-bit truth arrays over the mask range."""
-
-    def __init__(self, masks: np.ndarray, n: int):
-        self.masks = masks
-        self.n = n
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def edge_bit(self, u: int, v: int) -> np.ndarray:
-        if u > v:
-            u, v = v, u
-        key = (u, v)
-        arr = self._cache.get(key)
-        if arr is None:
-            e = u * self.n - u * (u + 1) // 2 + (v - u - 1)
-            arr = ((self.masks >> np.uint32(e)) & np.uint32(1)).astype(bool)
-            self._cache[key] = arr
-        return arr
-
-
-def _vec_eval(f: Formula, env: dict[str, int], ctx: _MaskContext):
-    """Evaluate over all masks at once; returns a bool scalar or bool array.
-
-    Equality atoms fold to scalars under a concrete assignment, which prunes
-    guard-violating quantifier branches without touching the arrays.
-    """
-    if isinstance(f, Eq):
-        return env[f.a] == env[f.b]
-    if isinstance(f, Edge):
-        u, v = env[f.a], env[f.b]
-        if u == v:
-            return False
-        return ctx.edge_bit(u, v)
-    if isinstance(f, Not):
-        r = _vec_eval(f.body, env, ctx)
-        return (not r) if isinstance(r, bool) else ~r
-    if isinstance(f, And):
-        a = _vec_eval(f.lhs, env, ctx)
-        if a is False:
-            return False
-        b = _vec_eval(f.rhs, env, ctx)
-        if b is False:
-            return False
-        if a is True:
-            return b
-        if b is True:
-            return a
-        return a & b
-    if isinstance(f, Or):
-        a = _vec_eval(f.lhs, env, ctx)
-        if a is True:
-            return True
-        b = _vec_eval(f.rhs, env, ctx)
-        if b is True:
-            return True
-        if a is False:
-            return b
-        if b is False:
-            return a
-        return a | b
-    if isinstance(f, Implies):
-        a = _vec_eval(f.lhs, env, ctx)
-        if a is False:
-            return True
-        b = _vec_eval(f.rhs, env, ctx)
-        if a is True:
-            return b
-        if b is True:
-            return True
-        if b is False:
-            return ~a
-        return ~a | b
-    if isinstance(f, Forall):
-        acc = True
-        for v in range(ctx.n):
-            r = _vec_eval(f.body, {**env, f.var: v}, ctx)
-            if r is False:
-                return False
-            if r is True:
-                continue
-            acc = r if acc is True else acc & r
-            if acc is not True and not acc.any():
-                return False
-        return acc
-    if isinstance(f, Exists):
-        acc = False
-        for v in range(ctx.n):
-            r = _vec_eval(f.body, {**env, f.var: v}, ctx)
-            if r is True:
-                return True
-            if r is False:
-                continue
-            acc = r if acc is False else acc | r
-            if acc is not False and acc.all():
-                return True
-        return acc
-    raise ExperimentError(f"not a formula node: {f!r}")
+def _mask_lanes(n: int, start: int, stop: int) -> np.ndarray:
+    """Adjacency of edge masks 64*start .. 64*stop-1: mask 64*w+b is bit b of
+    lane w, and bit e of a mask is the e-th pair (u, v), u < v.  For e < 6
+    that bit is the same in every lane: bit b of _LOW_EDGE_BITS[e] is bit e of b."""
+    words = np.arange(start, stop, dtype=np.uint64)
+    edge = np.zeros((n, n, stop - start), np.uint64)
+    for e, (u, v) in enumerate(zip(*np.triu_indices(n, 1))):
+        edge[u, v] = edge[v, u] = _LOW_EDGE_BITS[e] if e < 6 else -((words >> np.uint64(e - 6)) & np.uint64(1))
+    return edge
 
 
 def exact_mu(f: Formula, n: int) -> Fraction:
@@ -261,19 +174,9 @@ def exact_mu(f: Formula, n: int) -> Fraction:
         raise ExperimentError(f"need n >= 1, got {n}")
     if n > _EXACT_MU_MAX_N:
         raise ExperimentError(f"exact_mu is capped at n={_EXACT_MU_MAX_N}, got n={n}")
-    bits = comb(n, 2)
-    total = 1 << bits
-    count = 0
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        masks = np.arange(start, stop, dtype=np.uint32)
-        ctx = _MaskContext(masks, n)
-        r = _vec_eval(f, {}, ctx)
-        if r is True:
-            count += stop - start
-        elif r is not False:
-            count += int(np.count_nonzero(r))
-    return Fraction(count, total)
+    total = 1 << comb(n, 2)
+    lanes = evaluate_lanes(f, n, -(-total // 64), np.uint64, lambda a, b: _mask_lanes(n, a, b))
+    return Fraction(int(np.unpackbits(lanes.astype("<u8").view(np.uint8), count=total, bitorder="little").sum()), total)
 
 
 @dataclass
@@ -300,12 +203,7 @@ def verify_ea_bound(m: int, n: int, k: int) -> EaBoundCheck:
 
 def _mu_chunk(args) -> int:
     f, n, p, master_seed, start, stop = args
-    hits = 0
-    for i in range(start, stop):
-        g = gnp_sample(n, p, derive_trial_seed(master_seed, i))
-        if evaluate(f, g):
-            hits += 1
-    return hits
+    return sum(evaluate_batch(f, [gnp_sample(n, p, derive_trial_seed(master_seed, i)) for i in range(start, stop)]))
 
 
 def _win_chunk(args) -> int:

@@ -1,17 +1,21 @@
 """First-order logic over the graph vocabulary {E, =}.
 
-AST, recursive-descent parser, printer, a compiled brute-force evaluator,
-and constructors for the extension axioms and the game winning-condition
-sentences.  The edge atom is irreflexive and symmetric: E(x,x) is false on
-every graph, and reflexive movement lives in the game semantics instead.
+AST, recursive-descent parser, printer, an array evaluator, and constructors
+for the extension axioms and the game winning-condition sentences.  The
+evaluator turns each subformula into a boolean array over its free variables
+and a batch of graphs, so one pass answers a sentence for many graphs.  The
+edge atom is irreflexive and symmetric: E(x,x) is false on every graph, and
+reflexive movement lives in the game semantics instead.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable, Union
+
+import numpy as np
 
 from .graphs import Graph
 
@@ -31,6 +35,8 @@ __all__ = [
     "to_text",
     "free_variables",
     "evaluate",
+    "evaluate_batch",
+    "evaluate_lanes",
     "extension_axiom",
     "escape_k",
     "trap_escape",
@@ -292,46 +298,142 @@ def to_text(f: Formula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: plain backtracking with short-circuiting, compiled once per
-# sentence into a single Python expression built from any()/all() chains over
-# bitmask adjacency rows.  Worst case n**q for q quantifiers.
+# Evaluation.  A sentence is rewritten into a plan: negation normal form with
+# &/| chains flattened and each quantifier pushed inward as far as it goes
+# (miniscoping, sound because a universe is never empty).  Plan nodes are
+# ("E" | "=", free, a, b, negated), ("&" | "|", free, parts in folding order)
+# and ("all" | "any", free, var, body), where free is the free variables.
+# Each node evaluates to an array with one axis per variable, of size one
+# where the node does not mention it, and a last axis of lanes: broadcasting
+# does the joins and a quantifier is a reduction along its variable's axis.
+
+# A sentence whose widest node needs more than this for a single lane is
+# refused before anything is allocated.
+_MAX_ARRAY_BYTES = 1 << 25
+# Lanes go through in sub-batches of about this many bytes per array: enough
+# to amortise numpy's per-call cost on small graphs, little memory on large.
+_BATCH_BYTES = 1 << 20
 
 
-def _emit(f: Formula, names: dict[str, str], counter: list[int]) -> str:
-    if isinstance(f, Edge):
-        a, b = names[f.a], names[f.b]
-        return f"((_adj[{a}] >> {b}) & 1)"
-    if isinstance(f, Eq):
-        return f"({names[f.a]} == {names[f.b]})"
+def _parts(node: tuple) -> tuple:
+    return node[2] if node[0] in ("&", "|") else node[3:] if node[0] in ("all", "any") else ()
+
+
+def _width(node: tuple) -> int:
+    return max([len(node[1]), *map(_width, _parts(node))])
+
+
+def _has_edge(node: tuple) -> bool:
+    return node[0] == "E" and node[2] != node[3] or any(map(_has_edge, _parts(node)))
+
+
+def _junction(op: str, parts: list) -> tuple:
+    flat = [q for p in parts for q in (p[2] if p[0] == op else (p,))]
+    if len(flat) == 1:
+        return flat[0]
+    # Graph-independent parts fold first, then narrowest first: full-width arrays come last.
+    flat.sort(key=lambda p: (_has_edge(p), len(p[1])))
+    return (op, frozenset().union(*(p[1] for p in flat)), tuple(flat))
+
+
+def _quantify(q: str, var: str, body: tuple) -> tuple:
+    if var not in body[1]:
+        return body
+    if body[0] in ("&", "|"):
+        inner = [p for p in body[2] if var in p[1]]
+        outer = [p for p in body[2] if var not in p[1]]
+        if body[0] == ("&" if q == "all" else "|"):
+            return _junction(body[0], outer + [_quantify(q, var, p) for p in inner])
+        if outer:
+            return _junction(body[0], outer + [_quantify(q, var, _junction(body[0], inner))])
+    return (q, body[1] - {var}, var, body)
+
+
+def _plan(f: Formula, negated: bool = False) -> tuple:
+    if isinstance(f, (Edge, Eq)):
+        return ("E" if isinstance(f, Edge) else "=", frozenset((f.a, f.b)), f.a, f.b, negated)
     if isinstance(f, Not):
-        return f"(not {_emit(f.body, names, counter)})"
-    if isinstance(f, And):
-        return f"({_emit(f.lhs, names, counter)} and {_emit(f.rhs, names, counter)})"
-    if isinstance(f, Or):
-        return f"({_emit(f.lhs, names, counter)} or {_emit(f.rhs, names, counter)})"
+        return _plan(f.body, not negated)
     if isinstance(f, Implies):
-        return f"((not {_emit(f.lhs, names, counter)}) or {_emit(f.rhs, names, counter)})"
+        return _junction("&" if negated else "|", [_plan(f.lhs, not negated), _plan(f.rhs, negated)])
+    if isinstance(f, (And, Or)):
+        return _junction("&" if isinstance(f, And) != negated else "|", [_plan(f.lhs, negated), _plan(f.rhs, negated)])
     if isinstance(f, _QUANT):
-        counter[0] += 1
-        py = f"_v{counter[0]}"
-        inner = _emit(f.body, {**names, f.var: py}, counter)
-        fn = "all" if isinstance(f, Forall) else "any"
-        return f"{fn}({inner} for {py} in _rng)"
+        return _quantify("all" if isinstance(f, Forall) != negated else "any", f.var, _plan(f.body, negated))
     raise LogicError(f"not a formula node: {f!r}")
 
 
-@lru_cache(maxsize=512)
-def _compile(f: Formula) -> Callable[[tuple[int, ...], range], bool]:
-    expr = _emit(f, {}, [0])
-    return eval(f"lambda _adj, _rng: bool({expr})", {"__builtins__": {"all": all, "any": any, "bool": bool}})
+def _array(node: tuple, axes: dict[str, int], rank: int, edge: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    op = node[0]
+    if op in ("E", "="):
+        _, _, a, b, negated = node
+        if a == b:
+            r = np.zeros((1,) * (rank + 1), edge.dtype)
+            return r if (op == "E") != negated else ~r
+        shape = [1] * rank + [-1]
+        shape[axes[a]] = shape[axes[b]] = edge.shape[0]
+        r = (edge if op == "E" else eye).reshape(shape)  # both are symmetric
+        return ~r if negated else r
+    if op in ("all", "any"):
+        _, free, var, body = node
+        axis = min(set(range(rank)) - {axes[v] for v in free})
+        r = _array(body, {**axes, var: axis}, rank, edge, eye)
+        return (np.bitwise_and if op == "all" else np.bitwise_or).reduce(r, axis=axis, keepdims=True)
+    ufunc = np.bitwise_and if op == "&" else np.bitwise_or
+    acc = _array(node[2][0], axes, rank, edge, eye)
+    for part in node[2][1:]:
+        r = _array(part, axes, rank, edge, eye)
+        # Write into an operand this node owns when it already has the result's shape.
+        shape = np.broadcast_shapes(acc.shape, r.shape)
+        acc = ufunc(acc, r, out=next((a for a in (acc, r) if a.base is None and a.shape == shape), None))
+    return acc
+
+
+def evaluate_lanes(f: Formula, n: int, lanes: int, dtype, leaf: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """Truth of sentence f on each of `lanes` lanes over the universe 0..n-1.
+
+    leaf(start, stop) gives lanes start..stop-1 as an (n, n, stop - start) adjacency tensor of
+    `dtype` (bool: one graph per lane; uint64: one graph per bit).  Every array keeps its memory
+    order, which is fastest with the longer of the lane and vertex axes innermost.
+    """
+    plan = _plan(f)
+    if plan[1]:
+        raise LogicError("evaluate requires a sentence; free variables: " + ", ".join(sorted(plan[1])))
+    if n < 1:
+        raise LogicError(f"need a universe of at least one vertex, got n={n}")
+    width = _width(plan)
+    lane_bytes = n ** max(width, 2) * np.dtype(dtype).itemsize
+    if width >= 32 or lane_bytes > _MAX_ARRAY_BYTES:
+        raise LogicError(f"sentence is too wide to evaluate at n={n}: its widest subformula has {width} free "
+                         f"variables, {lane_bytes} bytes per lane, over the {_MAX_ARRAY_BYTES}-byte bound")
+    step = max(1, _BATCH_BYTES // lane_bytes)
+    eye = np.eye(n, dtype=bool)[:, :, None] * ~np.zeros(1, dtype)
+    out = np.empty(lanes, dtype)
+    for start in range(0, lanes, step):
+        out[start : start + step] = _array(plan, {}, width, leaf(start, min(start + step, lanes)), eye).reshape(-1)
+    return out
+
+
+def _adjacency_lanes(graphs: list[Graph], n: int) -> np.ndarray:
+    row_bytes = (n + 7) >> 3
+    raw = b"".join(row.to_bytes(row_bytes, "little") for g in graphs for row in g.adjacency)
+    rows = np.frombuffer(raw, np.uint8).reshape(len(graphs), n, row_bytes)
+    edge = np.unpackbits(rows, axis=2, count=n, bitorder="little").view(bool).transpose(1, 2, 0)
+    return np.ascontiguousarray(edge) if len(graphs) > n else edge  # the longer axis innermost
+
+
+def evaluate_batch(f: Formula, graphs: list[Graph]) -> list[bool]:
+    """Tarskian truth of a sentence on each graph; all graphs share one n."""
+    sizes = {g.n for g in graphs} or {1}
+    if len(sizes) > 1:
+        raise LogicError(f"evaluate_batch needs graphs of one size, got n in {sorted(sizes)}")
+    n = sizes.pop()
+    return evaluate_lanes(f, n, len(graphs), np.bool_, lambda a, b: _adjacency_lanes(graphs[a:b], n)).tolist()
 
 
 def evaluate(f: Formula, g: Graph) -> bool:
     """Tarskian truth of a sentence over the universe 0..n-1 of g."""
-    free = free_variables(f)
-    if free:
-        raise LogicError("evaluate requires a sentence; free variables: " + ", ".join(sorted(free)))
-    return _compile(f)(g.adjacency, range(g.n))
+    return evaluate_batch(f, [g])[0]
 
 
 # ---------------------------------------------------------------------------

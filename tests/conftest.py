@@ -1,6 +1,6 @@
 """Shared test helpers: exhaustive graph enumeration, a naive reference
-interpreter for sentences (independent of the compiled evaluator), and a
-random sentence generator for round-trip checks."""
+interpreter for sentences (independent of the array evaluator in
+pursuitlab.logic), and a random sentence generator for round-trip checks."""
 
 import random
 
@@ -29,7 +29,7 @@ def all_graphs(n):
 
 
 def eval_reference(f, g, env=None):
-    """Direct recursive Tarskian evaluation; the oracle for the compiled path."""
+    """Direct recursive Tarskian evaluation; the oracle for the array evaluator."""
     env = env or {}
     if isinstance(f, L.Edge):
         return g.has_edge(env[f.a], env[f.b])

@@ -3,9 +3,10 @@ import re
 import subprocess
 import sys
 
+from pursuitlab import games
 from pursuitlab.cli import main
 from pursuitlab.games import Classic, state_estimate
-from pursuitlab.graphs import read_edge_list
+from pursuitlab.graphs import gnp_sample, read_edge_list, write_edge_list
 
 
 def run_cli(capsys, *argv):
@@ -75,12 +76,23 @@ def test_gen_usage_errors(capsys):
 
 # ---------------------------------------------------------------------- solve
 
-def test_solve_named_examples(capsys):
+def test_solve_named_examples(capsys, monkeypatch):
+    solved = []
+    game_value = games.game_value
+    monkeypatch.setattr(games, "game_value", lambda g, v, *rest: solved.append(v) or game_value(g, v, *rest))
     code, out, _ = run_cli(capsys, "solve", "--named", "petersen", "--variant", "classic", "--k", "3")
     assert code == 0
     doc = json.loads(out)
     assert doc["winner"] == "Cop"
     assert doc["state_estimate"] == state_estimate(10, Classic(3))
+    assert solved == [Classic(3)]
+    for k, winner in ((2, "Robber"), (3, "Cop")):
+        solved.clear()
+        code, out, _ = run_cli(capsys, "solve", "--named", "petersen", "--variant", "classic", "--k", str(k),
+                               "--cop-number", "--k-max", "4")
+        doc = json.loads(out)
+        assert (doc["winner"], doc["cop_number"]) == (winner, 3)
+        assert solved == [Classic(1), Classic(2), Classic(3)]  # each game solved once
     code, out, _ = run_cli(capsys, "solve", "--named", "c4", "--variant", "tandem")
     assert json.loads(out)["winner"] == "Cop"
     code, out, _ = run_cli(capsys, "solve", "--named", "k33", "--variant", "traps", "--m", "1", "--traps", "1")
@@ -103,6 +115,9 @@ def test_solve_from_file(tmp_path, capsys):
 def test_solve_budget_exit_code(capsys):
     code, _, err = run_cli(capsys, "solve", "--named", "petersen", "--k", "2", "--max-states", "10")
     assert code == 2 and "state budget" in err
+    code, _, cop_number_err = run_cli(capsys, "solve", "--named", "petersen", "--k", "2", "--cop-number",
+                                      "--max-states", "10")
+    assert code == 2 and cop_number_err == err
 
 
 # ----------------------------------------------------------------------- eval
@@ -123,6 +138,13 @@ def test_eval_examples(capsys):
 def test_eval_parse_error_is_domain_exit(capsys):
     code, _, err = run_cli(capsys, "eval", "--named", "c4", "--formula", "E(x,y)")
     assert code == 2 and "free variables" in err
+
+
+def test_eval_too_wide_sentence_is_domain_exit(tmp_path, capsys):
+    p = tmp_path / "g200.edges"
+    p.write_text(write_edge_list(gnp_sample(200, 0.5, 0)))
+    code, out, err = run_cli(capsys, "eval", "--graph", str(p), "--builtin", "escape_3")
+    assert code == 2 and out == "" and "too wide" in err
 
 
 def test_eval_builtin_names(capsys):

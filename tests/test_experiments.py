@@ -1,5 +1,6 @@
 import math
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,9 @@ from pursuitlab.experiments import (
 )
 from pursuitlab.games import ArenaBudgetError, Classic, Complementary, Tandem, Winner
 from pursuitlab.graphs import PFamily
-from pursuitlab.logic import empty_graph, escape_k, extension_axiom, parse
+from pursuitlab.logic import Edge, LogicError, empty_graph, escape_k, extension_axiom, parse, to_text
 
-from conftest import all_graphs, eval_reference
+from conftest import all_graphs, eval_reference, random_sentence
 
 
 # ------------------------------------------------------------------- exact mu
@@ -59,6 +60,16 @@ def test_exact_mu_matches_brute_force():
         for f in formulas:
             assert exact_mu(f, n) == brute_mu(f, n), (n, f)
     assert exact_mu(extension_axiom(1, 2), 5) == brute_mu(extension_axiom(1, 2), 5)
+    rng = random.Random(23)
+    for _ in range(10):
+        f = random_sentence(rng, n_vars=rng.randint(1, 3), depth=rng.randint(1, 3))
+        for n in (1, 2, 3, 4):
+            assert exact_mu(f, n) == brute_mu(f, n), (n, to_text(f))
+
+
+def test_exact_mu_requires_sentence():
+    with pytest.raises(LogicError, match="free variables"):
+        exact_mu(Edge("x", "y"), 3)
 
 
 # ------------------------------------------------------------------- ea bound

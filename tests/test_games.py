@@ -153,6 +153,10 @@ def test_fast_and_explicit_backends_agree_random():
         g = gnp_sample(rng.randint(6, 9), 0.5, rng.getrandbits(32))
         a = build_arena(g, Classic(3))
         assert solve(a).winner[a.root] is game_value(g, Classic(3))
+    # The cop wins here only by picking its trap up again.
+    g = gnp_sample(7, 0.5, 189)
+    a = build_arena(g, Traps(1, 1))
+    assert solve(a).winner[a.root] is game_value(g, Traps(1, 1))
 
 
 # ------------------------------------------------------------- dismantlable

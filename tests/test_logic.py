@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,7 @@ from pursuitlab.logic import (
     empty_graph,
     escape_k,
     evaluate,
+    evaluate_batch,
     extension_axiom,
     isolated_vertices,
     parse,
@@ -102,16 +104,50 @@ def test_print_parse_round_trip_random():
 
 def test_evaluate_matches_reference_interpreter():
     rng = random.Random(17)
-    graphs = list(all_graphs(3)) + [gnp_sample(rng.randint(4, 6), rng.random(), rng.getrandbits(32)) for _ in range(10)]
-    for _ in range(120):
-        f = random_sentence(rng, n_vars=rng.randint(1, 3), depth=rng.randint(1, 3))
-        for g in graphs:
-            assert evaluate(f, g) == eval_reference(f, g), to_text(f)
+    graphs = list(all_graphs(1)) + list(all_graphs(3))
+    graphs += [gnp_sample(rng.randint(4, 6), rng.random(), rng.getrandbits(32)) for _ in range(10)]
+    sentences = [random_sentence(rng, n_vars=rng.randint(1, 3), depth=rng.randint(1, 3)) for _ in range(120)]
+    sentences += [parse(text) for text in (
+        "forall x exists y forall z (E(x,z) | x = z)",  # y is never used
+        "exists x forall y exists z E(x,x)",
+        "(exists x forall y E(x,y)) & (exists x forall y !E(x,y))",  # x and y reused on two branches
+        "(forall x exists y (E(x,y) & !(x = y))) | (exists x forall y (x = y | !E(x,y)))",
+        "exists x E(x,x)",
+        "forall x (x = x & !E(x,x))",
+        "exists x !(x = x)",
+        "forall x forall y (E(x,y) -> (exists z (E(z,z) | z = z & E(y,z))))",
+    )]
+    by_size = {}
+    for g in graphs:
+        by_size.setdefault(g.n, []).append(g)
+    for f in sentences:
+        for same_n in by_size.values():
+            expected = [eval_reference(f, g) for g in same_n]
+            assert [evaluate(f, g) for g in same_n] == expected, to_text(f)
+            assert evaluate_batch(f, same_n) == expected, to_text(f)
 
 
 def test_evaluate_requires_sentence():
     with pytest.raises(LogicError):
         evaluate(Edge("x", "y"), Graph(2))
+
+
+def test_evaluate_refuses_too_wide_sentence_before_allocating():
+    g = gnp_sample(200, 0.5, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LogicError, match="too wide"):
+            evaluate(escape_k(3), g)  # its widest node has 200**5 cells
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_evaluate_batch_needs_one_size():
+    assert evaluate_batch(empty_graph(), []) == []
+    with pytest.raises(LogicError, match="one size"):
+        evaluate_batch(empty_graph(), [Graph(2), Graph(3)])
 
 
 def test_evaluate_examples():
@@ -190,15 +226,12 @@ def test_extension_axiom_equivalent_to_escape_1_up_to_n5():
 def test_extension_axiom_matches_direct_checker_all_graphs_up_to_6():
     cases = [(m, n) for n in (1, 2, 3) for m in range(n + 1)]
     formulas = {mn: extension_axiom(*mn) for mn in cases}
-    for size in range(1, 6):
-        for g in all_graphs(size):
-            for (m, n), f in formulas.items():
-                assert evaluate(f, g) == has_extension_property(g, m, n)
     pairs = pair_list(6)
-    for mask in range(1 << 15):
-        g = graph_from_mask(6, mask, pairs)
+    batches = [list(all_graphs(size)) for size in range(1, 6)]
+    batches.append([graph_from_mask(6, mask, pairs) for mask in range(1 << 15)])
+    for graphs in batches:
         for (m, n), f in formulas.items():
-            assert evaluate(f, g) == has_extension_property(g, m, n)
+            assert evaluate_batch(f, graphs) == [has_extension_property(g, m, n) for g in graphs], (m, n)
 
 
 def test_ea_monotonicity_on_six_vertex_graphs():
@@ -210,12 +243,11 @@ def test_ea_monotonicity_on_six_vertex_graphs():
     target_formulas = {k: [extension_axiom(m, n) for m, n in v] for k, v in targets.items()}
     strong = {k: extension_axiom(k, 2 * k) for k in (1, 2)}
     pairs = pair_list(6)
-    for mask in range(1 << 15):
-        g = graph_from_mask(6, mask, pairs)
-        for k in (1, 2):
-            if evaluate(strong[k], g):
-                for f in target_formulas[k]:
-                    assert evaluate(f, g)
+    graphs = [graph_from_mask(6, mask, pairs) for mask in range(1 << 15)]
+    for k in (1, 2):
+        holds = evaluate_batch(strong[k], graphs)
+        for f in target_formulas[k]:
+            assert all(t for s, t in zip(holds, evaluate_batch(f, graphs)) if s)
 
 
 # ------------------------------------------------------------------- builtins
