@@ -4,8 +4,9 @@ mu_n(phi) is the fraction of the 2**C(n,2) labeled n-vertex graphs satisfying
 phi, which equals the G(n, 1/2) measure; exact_mu enumerates all edge masks,
 64 to a uint64 lane of the logic module's array evaluator.  Monte Carlo
 trials derive per-trial seeds from the master seed with a fixed integer mix,
-so runs are reproducible and independent of the parallelism degree; the
-sentence is evaluated on each chunk of sampled graphs in one batch.
+so runs are reproducible and independent of the parallelism degree.  Each
+chunk of trials is sampled in byte-bounded sub-batches, in trial order, and a
+sub-batch goes to the evaluator or the game solver as one batch.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from typing import Union
 
 import numpy as np
 
-from .games import DEFAULT_MAX_STATES, ArenaBudgetError, Variant, Winner, game_value, state_estimate, variant_id
+from .games import DEFAULT_MAX_STATES, ArenaBudgetError, Variant, Winner, game_values, state_estimate, variant_id
 from .graphs import PFamily, gnp_sample
-from .logic import Formula, evaluate_batch, evaluate_lanes, extension_axiom, to_text
+from .logic import Formula, LogicError, evaluate_batch, evaluate_lanes, extension_axiom, to_text
 
 __all__ = [
     "EstimateReport",
@@ -201,19 +202,28 @@ def verify_ea_bound(m: int, n: int, k: int) -> EaBoundCheck:
 # Monte Carlo estimation.
 
 
+# A chunk's graphs are sampled and solved or evaluated in sub-batches of
+# about this many bytes of n x n adjacency, so memory does not grow with
+# --samples.
+_SAMPLE_BYTES = 1 << 18
+
+
+def _sample_batches(n: int, p: float, master_seed: int, start: int, stop: int):
+    """The G(n, p) samples of trials start..stop-1, in trial order, as lists."""
+    step = max(1, _SAMPLE_BYTES // (n * n))
+    for a in range(start, stop, step):
+        yield [gnp_sample(n, p, derive_trial_seed(master_seed, i)) for i in range(a, min(a + step, stop))]
+
+
 def _mu_chunk(args) -> int:
     f, n, p, master_seed, start, stop = args
-    return sum(evaluate_batch(f, [gnp_sample(n, p, derive_trial_seed(master_seed, i)) for i in range(start, stop)]))
+    return sum(sum(evaluate_batch(f, gs)) for gs in _sample_batches(n, p, master_seed, start, stop))
 
 
 def _win_chunk(args) -> int:
     variant, who, n, p, master_seed, max_states, start, stop = args
-    hits = 0
-    for i in range(start, stop):
-        g = gnp_sample(n, p, derive_trial_seed(master_seed, i))
-        if game_value(g, variant, max_states) is who:
-            hits += 1
-    return hits
+    return sum(w is who for gs in _sample_batches(n, p, master_seed, start, stop)
+               for w in game_values(gs, variant, max_states))
 
 
 def _run_chunks(worker, static_args, samples: int, jobs: int) -> int:
@@ -339,7 +349,8 @@ def sweep(
     jobs: int = 1,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> list[EstimateReport]:
-    """One report per n, in n order; per-row budget errors are recorded in-row."""
+    """One report per n, in n order; a row refused for its size (state budget,
+    sentence width) or its arguments records the error in-row."""
     rows: list[EstimateReport] = []
     for n in n_list:
         t0 = time.perf_counter()
@@ -349,7 +360,7 @@ def sweep(
                 rows.append(estimate_win(v, who, n, p_spec, samples, master_seed, jobs, max_states))
             else:
                 rows.append(estimate_mu(target, n, p_spec, samples, master_seed, jobs))
-        except (ArenaBudgetError, ExperimentError) as exc:
+        except (ArenaBudgetError, ExperimentError, LogicError) as exc:
             tid = f"win[{variant_id(target[0])}]={target[1].value}" if isinstance(target, tuple) else f"mu[{to_text(target)}]"
             rows.append(
                 EstimateReport(

@@ -8,10 +8,14 @@ explicit worklist solver computes:
     RT[cfg] = occupied[cfg] | { r : closed_nbhd(r) subset of CT[cfg] }
 
 with capture states seeding both sides.  Cops win iff some legal placement
-configuration ends up with a full CT row.  Three engines compute it:
+configuration ends up with a full CT row.  Four engines compute it:
 
-  * single-cop games (Classic(1), Complementary) keep one big-int robber set
-    per cop vertex;
+  * `winners` solves a batch of single-cop games (Classic(1), Complementary)
+    on graphs of one size as one fixed point over float32 (B, n, n) 0/1
+    matrices indexed [graph, cop, robber], both half-steps matrix products;
+  * `winner` on one single-cop game keeps one big-int robber set per cop
+    vertex: at n = 6 a one-graph batch costs about four times this loop,
+    and many callers solve one graph at a time;
   * Classic(k >= 2), Tandem and Traps(1,t) share one kernel, `_fixpoint`,
     over a tensor of configurations whose robber sets are packed into uint64
     words; each variant supplies only its capture rows, its legal placements
@@ -19,19 +23,26 @@ configuration ends up with a full CT row.  Three engines compute it:
   * Traps(m >= 2) and Roadblocks are left to the explicit arena
     (`winner` returns None).
 
-Agreement with the explicit arena solver is enforced by the test suite.
+Agreement with the explicit arena solver, and of the batch engine with the
+big-int one, is enforced by the test suite.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
-from .games import Classic, Complementary, Tandem, Traps, Variant, Winner
+from .games import Classic, Complementary, Tandem, Traps, Variant, Winner, _one_size
 from .graphs import Graph, complement
 
-__all__ = ["winner"]
+__all__ = ["winner", "winners"]
+
+# Each float32 (B, n, n) array of the batch engine holds at most this many
+# bytes, and at least one graph.  1 MiB ran n <= 60 up to 30% faster, but
+# raised the peak RSS of Monte Carlo rows at N = 200..300 from 37.9 to 41.2 MB.
+_BATCH_BYTES = 1 << 18
 
 
 def _closed_masks(g: Graph) -> list[int]:
@@ -73,6 +84,72 @@ def _single_cop_winner(cop_closed: list[int], robber_closed: list[int], n: int) 
         if new_rt == rt:
             return Winner.ROBBER
         rt = new_rt
+
+
+def _adjacency(graphs: Sequence[Graph], n: int) -> np.ndarray:
+    """Adjacency of each graph as a (B, n, n) bool array."""
+    row_bytes = (n + 7) >> 3
+    raw = b"".join(row.to_bytes(row_bytes, "little") for g in graphs for row in g.adjacency)
+    rows = np.frombuffer(raw, np.uint8).reshape(len(graphs), n, row_bytes)
+    return np.unpackbits(rows, axis=2, count=n, bitorder="little").view(bool)
+
+
+def _single_cop_batch(graphs: Sequence[Graph], n: int, complementary: bool) -> list[Winner]:
+    """The single-cop fixed point on a batch of n-vertex graphs, over 0/1
+    float32 matrices indexed [graph, cop vertex, robber vertex]:
+
+        CT = I | (N_cop @ RT > 0)
+        RT = I | ((1 - CT) @ N_rob == 0)
+
+    The robber step counts the robber's moves to vertices outside CT; it may
+    multiply by N_rob on the right because closed neighbourhoods are
+    symmetric.  A graph is decided by a full CT row (cop win) or an unchanged
+    RT (robber win), and then leaves the batch.
+    """
+    adj = _adjacency(graphs, n)
+    eye = np.eye(n, dtype=np.float32)
+    rob = (adj | eye.astype(bool)).astype(np.float32)
+    cop = (~adj).astype(np.float32) if complementary else rob  # ~adj is the complement's closed nbhd
+    rt = np.broadcast_to(eye, rob.shape).copy()
+    ct = np.empty_like(rt)
+    nxt = np.empty_like(rt)
+    out: list = [None] * len(graphs)
+    live = np.arange(len(graphs))
+    while live.size:
+        m = live.size
+        rt_m, ct_m, nxt_m = rt[:m], ct[:m], nxt[:m]
+        np.matmul(cop[:m], rt_m, out=ct_m)
+        np.minimum(ct_m, 1, out=ct_m)
+        np.maximum(ct_m, eye, out=ct_m)
+        cop_win = ct_m.all(axis=2).any(axis=1)
+        np.subtract(1, ct_m, out=ct_m)
+        np.matmul(ct_m, rob[:m], out=nxt_m)
+        np.equal(nxt_m, 0, out=nxt_m)
+        np.maximum(nxt_m, eye, out=nxt_m)
+        done = cop_win | (nxt_m == rt_m).all(axis=(1, 2))
+        rt, nxt = nxt, rt
+        for i in np.flatnonzero(done):
+            out[live[i]] = Winner.COP if cop_win[i] else Winner.ROBBER
+        if done.any():
+            keep = ~done
+            live = live[keep]
+            for a in (rt, rob) if cop is rob else (rt, rob, cop):
+                a[: live.size] = a[:m][keep]
+    return out
+
+
+def winners(graphs: Sequence[Graph], v: Variant) -> list[Winner | None]:
+    """`winner` for each graph; all graphs share one n.  Classic(1) and
+    Complementary run through the batch engine, in sub-batches of at most
+    _BATCH_BYTES per array; other variants go one graph at a time."""
+    n = _one_size(graphs)
+    if not (isinstance(v, Classic) and v.k == 1 or isinstance(v, Complementary)):
+        return [winner(g, v) for g in graphs]
+    step = max(1, _BATCH_BYTES // (4 * n * n))
+    out: list = []
+    for start in range(0, len(graphs), step):
+        out += _single_cop_batch(graphs[start : start + step], n, isinstance(v, Complementary))
+    return out
 
 
 def _pack(masks: list[int], n: int) -> np.ndarray:

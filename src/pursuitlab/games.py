@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations_with_replacement, permutations, product
 from math import comb
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .graphs import Graph, complement
 
@@ -48,6 +48,7 @@ __all__ = [
     "build_arena",
     "solve",
     "game_value",
+    "game_values",
     "cop_number",
     "is_dismantlable",
     "simulate",
@@ -470,10 +471,36 @@ def game_value(g: Graph, v: Variant, max_states: int = DEFAULT_MAX_STATES) -> Wi
     from . import fastsolve
 
     w = fastsolve.winner(g, v)
-    if w is not None:
-        return w
+    return w if w is not None else _arena_value(g, v, max_states)
+
+
+def _arena_value(g: Graph, v: Variant, max_states: int) -> Winner:
     arena = build_arena(g, v, max_states)
     return solve(arena).winner[arena.root]
+
+
+def _one_size(graphs: Sequence[Graph]) -> int:
+    """The vertex count every graph of a batch shares (1 for an empty batch)."""
+    sizes = {g.n for g in graphs} or {1}
+    if len(sizes) > 1:
+        raise GameError(f"a batch needs graphs of one size, got n in {sorted(sizes)}")
+    return sizes.pop()
+
+
+def game_values(graphs: Sequence[Graph], v: Variant, max_states: int = DEFAULT_MAX_STATES) -> list[Winner]:
+    """`game_value` of each graph, in order; all graphs share one n.
+
+    The budget is checked once.  Classic(1) and Complementary run as one
+    batched fixed point (`fastsolve.winners`); other variants go one graph at
+    a time, through the same backends as `game_value`.
+    """
+    estimate = state_estimate(_one_size(graphs), v)
+    if estimate > max_states:
+        raise ArenaBudgetError(estimate, max_states)
+    from . import fastsolve
+
+    out = fastsolve.winners(graphs, v)
+    return [w if w is not None else _arena_value(g, v, max_states) for g, w in zip(graphs, out)]
 
 
 def cop_number(g: Graph, k_max: int, max_states: int = DEFAULT_MAX_STATES) -> int | None:

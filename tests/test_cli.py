@@ -1,8 +1,12 @@
+import csv
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
+import pursuitlab
 from pursuitlab import games
 from pursuitlab.cli import main
 from pursuitlab.games import Classic, state_estimate
@@ -206,6 +210,18 @@ def test_sweep_win_target_and_budget_row(capsys):
     assert "state budget" in rows[1]
 
 
+def test_sweep_records_too_wide_sentence_in_row(capsys):
+    args = ["--builtin", "escape_2", "--p", "0.5", "--samples", "3", "--seed", "1"]
+    code, out, _ = run_cli(capsys, "sweep", "--n-list", "6,80", *args)
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    assert [(r["n"], r["samples"]) for r in rows] == [("6", "3"), ("80", "3")]
+    assert rows[0]["error"] == "" and rows[0]["successes"] != ""
+    assert "too wide" in rows[1]["error"] and rows[1]["successes"] == ""
+    code, out, err = run_cli(capsys, "mu", "--n", "80", *args)
+    assert code == 2 and out == "" and "too wide" in err
+
+
 def test_sweep_jobs_do_not_change_results(capsys):
     base = ["sweep", "--builtin", "escape_1", "--n-list", "12", "--p", "0.5",
             "--samples", "60", "--seed", "9"]
@@ -247,9 +263,12 @@ def test_threshold_usage(capsys):
 # ------------------------------------------------------------------ subprocess
 
 def test_module_entry_point():
+    # The child imports the same package as this process, however pytest found it.
+    src = str(Path(pursuitlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "pursuitlab", "eval", "--named", "c4", "--builtin", "escape_1"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "false"

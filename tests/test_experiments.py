@@ -1,8 +1,10 @@
 import math
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pursuitlab import experiments
@@ -20,9 +22,9 @@ from pursuitlab.experiments import (
     verify_ea_bound,
     wilson_interval,
 )
-from pursuitlab.games import ArenaBudgetError, Classic, Complementary, Tandem, Winner
-from pursuitlab.graphs import PFamily
-from pursuitlab.logic import Edge, LogicError, empty_graph, escape_k, extension_axiom, parse, to_text
+from pursuitlab.games import ArenaBudgetError, Classic, Complementary, Tandem, Winner, game_value
+from pursuitlab.graphs import PFamily, gnp_sample
+from pursuitlab.logic import Edge, LogicError, empty_graph, escape_k, evaluate, extension_axiom, parse, to_text
 
 from conftest import all_graphs, eval_reference, random_sentence
 
@@ -149,9 +151,34 @@ def test_estimate_win_budget_precheck():
 
 
 def test_estimate_win_parallel_invariant():
-    r1 = estimate_win(Tandem(), Winner.COP, 20, 0.5, 60, 11, jobs=1)
-    r2 = estimate_win(Tandem(), Winner.COP, 20, 0.5, 60, 11, jobs=8)
-    assert r1.successes == r2.successes
+    # BLAS is started in this process before the pool forks its workers.
+    np.matmul(np.ones((70, 70), np.float32), np.ones((70, 70), np.float32))
+    for v, who, n, p in [(Tandem(), Winner.COP, 20, 0.5), (Classic(1), Winner.ROBBER, 70, 0.93),
+                         (Complementary(), Winner.ROBBER, 70, 0.3)]:
+        r1 = estimate_win(v, who, n, p, 60, 11, jobs=1)
+        r2 = estimate_win(v, who, n, p, 60, 11, jobs=8)
+        assert r1.successes == r2.successes
+        if v != Tandem():
+            per_graph = [game_value(gnp_sample(n, p, derive_trial_seed(11, i)), v) for i in range(60)]
+            assert r1.successes == per_graph.count(who)
+            assert 0 < r1.successes < 60
+
+
+def test_monte_carlo_chunks_are_sampled_in_bounded_sub_batches():
+    tracemalloc.start()
+    try:
+        # 2000-graph chunks; at p = 1 the sampler draws no random numbers (which
+        # tracemalloc would make slow) but builds the same dense rows as p = 1/2.
+        rep = estimate_mu(empty_graph(), 60, 1.0, 8000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.successes == 0 and peak < 2 << 20
+    # 100 vertices: sub-batches of 26 graphs, so chunk and sub-batch bounds differ.
+    f = escape_k(1)
+    rep = estimate_mu(f, 100, 0.08, 120, 5)
+    assert 0 < rep.successes < 120
+    assert rep.successes == sum(evaluate(f, gnp_sample(100, 0.08, derive_trial_seed(5, i))) for i in range(120))
 
 
 def test_worker_pool_is_capped_at_the_core_count(monkeypatch):

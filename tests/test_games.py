@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pursuitlab import fastsolve
 from pursuitlab.games import (
     ArenaBudgetError,
     Classic,
@@ -16,6 +17,7 @@ from pursuitlab.games import (
     build_arena,
     cop_number,
     game_value,
+    game_values,
     is_dismantlable,
     simulate,
     solve,
@@ -159,6 +161,34 @@ def test_fast_and_explicit_backends_agree_random():
     assert solve(a).winner[a.root] is game_value(g, Traps(1, 1))
 
 
+def test_batch_and_single_graph_engines_agree():
+    batches = [list(all_graphs(6))]  # all 32768 six-vertex graphs in one call
+    batches += [list(all_graphs(n)) for n in range(1, 5)]
+    # Adjacency rows of 63..65 and 130 vertices end on either side of a 64-bit word.
+    batches += [[gnp_sample(n, p, seed) for seed in range(3)] for n in (63, 64, 65, 130) for p in (0.1, 0.5, 0.9)]
+    for v in (Classic(1), Complementary()):
+        for gs in batches:
+            assert fastsolve.winners(gs, v) == [fastsolve.winner(g, v) for g in gs]
+    assert fastsolve.winners([], Classic(1)) == [] and game_values([], Complementary()) == []
+
+
+def test_batch_needs_graphs_of_one_size():
+    gs = [gnp_sample(5, 0.5, 1), gnp_sample(6, 0.5, 1)]
+    for v in (Classic(1), Tandem()):
+        with pytest.raises(GameError, match="one size"):
+            fastsolve.winners(gs, v)
+        with pytest.raises(GameError, match="one size"):
+            game_values(gs, v)
+
+
+def test_game_values_matches_game_value_on_every_backend():
+    gs = [gnp_sample(7, 0.5, seed) for seed in range(6)]
+    for v in (Classic(1), Classic(2), Tandem(), Complementary(), Traps(1, 1), Traps(2, 1), Roadblocks(1, 1)):
+        assert game_values(gs, v) == [game_value(g, v) for g in gs]
+    with pytest.raises(ArenaBudgetError):
+        game_values(gs, Classic(1), max_states=10)
+
+
 # ------------------------------------------------------------- dismantlable
 
 def test_dismantlable_examples():
@@ -178,8 +208,9 @@ def test_random_trees_are_dismantlable():
 
 
 def test_solver_matches_dismantlable_on_all_5_vertex_graphs():
-    for g in all_graphs(5):
-        assert (game_value(g, Classic(1)) is Winner.COP) == is_dismantlable(g)
+    gs = list(all_graphs(5))
+    for g, w in zip(gs, game_values(gs, Classic(1))):
+        assert (w is Winner.COP) == is_dismantlable(g)
 
 
 def test_solver_matches_dismantlable_on_random_graphs():
@@ -192,9 +223,9 @@ def test_solver_matches_dismantlable_on_random_graphs():
 
 def test_cop_monotonicity_all_6_vertex_graphs():
     pairs = pair_list(6)
-    for mask in range(1 << 15):
-        g = graph_from_mask(6, mask, pairs)
-        if game_value(g, Classic(1)) is Winner.COP:
+    gs = [graph_from_mask(6, mask, pairs) for mask in range(1 << 15)]
+    for g, one_cop in zip(gs, game_values(gs, Classic(1))):
+        if one_cop is Winner.COP:
             assert game_value(g, Classic(2)) is Winner.COP
         elif game_value(g, Classic(2)) is Winner.COP:
             assert game_value(g, Classic(3)) is Winner.COP
