@@ -18,8 +18,20 @@ configuration ends up with a full CT row.  Four engines compute it:
     and many callers solve one graph at a time;
   * Classic(k >= 2), Tandem and Traps(1,t) share one kernel, `_fixpoint`,
     over a tensor of configurations whose robber sets are packed into uint64
-    words; each variant supplies only its capture rows, its legal placements
-    and its cop step, built from `_nbhd_or`;
+    words.  Each variant supplies per-axis row tables for its capture rows
+    and for its first cop step CT0 in closed form (Classic(k): the OR of k
+    closed neighbourhoods; Tandem: the lead's closed 2-ball, one boolean
+    matrix product; Traps(1,t): N[c] | sites), its legal placements, and a
+    general cop step built from `_nbhd_or`.  CT0 decides a cop win when one
+    move from some legal placement reaches every vertex; for Classic(k) that
+    is a dominating k-set, which G(60, 1/2) almost always has for k = 3 (its
+    domination number is about log2 n - log2 log2 n; Wieland and Godbole,
+    2001).  Otherwise the loop starts from CT0, and `_nbhd_or` runs only in
+    rounds >= 2.  The robber step is a table lookup: r is trapped iff N[r]
+    lies inside CT, so (closed neighbourhoods being symmetric) the trapped
+    set is the AND of ~N[x] over the x outside CT, read byte by byte of CT
+    from a per-graph table of those ANDs, the "Four Russians" method
+    (Arlazarov, Dinic, Kronrod and Faradzev, 1970);
   * Traps(m >= 2) and Roadblocks are left to the explicit arena
     (`winner` returns None).
 
@@ -29,6 +41,7 @@ big-int one, is enforced by the test suite.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from typing import Sequence
 
@@ -152,11 +165,24 @@ def winners(graphs: Sequence[Graph], v: Variant) -> list[Winner | None]:
     return out
 
 
-def _pack(masks: list[int], n: int) -> np.ndarray:
-    """Vertex-set bitmasks over n vertices as rows of uint64 words, low word first."""
-    words = (n + 63) >> 6
-    raw = b"".join(m.to_bytes(8 * words, "little") for m in masks)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), words).astype(np.uint64)
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """Bool vertex-set rows over n vertices as rows of uint64 words, low word first."""
+    n = rows.shape[-1]
+    packed = np.zeros(rows.shape[:-1] + (8 * ((n + 63) >> 6),), np.uint8)
+    packed[..., : (n + 7) >> 3] = np.packbits(rows, axis=-1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False)
+
+
+def _or_rows(rows: list, out: np.ndarray | None = None) -> np.ndarray:
+    """out[i0, i1, ...] | rows[0][i0] | rows[1][i1] | ..., one axis per row
+    table: into out in place when it is given, else as a new array."""
+    k = len(rows)
+    views = [r.reshape((1,) * ax + r.shape[:1] + (1,) * (k - 1 - ax) + r.shape[1:]) for ax, r in enumerate(rows)]
+    if out is None:
+        return reduce(np.bitwise_or, views)
+    for v in views:
+        out |= v
+    return out
 
 
 def _nbhd_or(u: np.ndarray, axis: int, closed: list[np.ndarray]) -> np.ndarray:
@@ -167,93 +193,136 @@ def _nbhd_or(u: np.ndarray, axis: int, closed: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _fixpoint(g: Graph, occ: np.ndarray, cop_step, placed) -> Winner:
-    """Least fixed point over a tensor of cop configurations.
+def _trap_table(nmask: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """tab[p, b]: the vertices r whose closed neighbourhood misses every vertex
+    x = 8p + j with bit j of byte b clear, for the (n + 7) // 8 byte positions
+    that hold a vertex.  Closed neighbourhoods are symmetric, so r misses x
+    iff x misses r, and tab[p, b] is the AND of ~N[x] over those x; vertices
+    past n (the padding bits) constrain nothing."""
+    n, words = nmask.shape
+    positions = (n + 7) >> 3
+    notn = np.broadcast_to(full, (8 * positions, words)).copy()
+    notn[:n] &= ~nmask
+    notn = notn.reshape(positions, 8, words)
+    miss = np.empty((positions, 256, words), np.uint64)  # indexed by the complement byte ~b
+    miss[:, 0] = full
+    for j in range(8):
+        np.bitwise_and(miss[:, : 1 << j], notn[:, j, None], out=miss[:, 1 << j : 2 << j])
+    return np.ascontiguousarray(miss[:, ::-1])
 
-    occ[cfg] holds the packed robber vertices captured in configuration cfg
-    (shape: configuration axes + words).  cop_step(RT) returns, per
-    configuration, the union of RT over its cop moves (broadcastable to occ).
-    placed indexes the configuration axes of the legal placements.
+
+def _trapped(ct: np.ndarray, tab: np.ndarray) -> np.ndarray:
+    """Per configuration, the vertices r with N[r] inside its row of ct: the
+    AND over byte positions p of tab[p, byte p of the row] (the Four Russians
+    method of Arlazarov, Dinic, Kronrod and Faradzev, 1970).  Bytes past the
+    table hold only padding bits.  Gathering one byte position at a time
+    keeps the temporaries at one row per configuration."""
+    rows = ct.reshape(-1, ct.shape[-1]).astype("<u8", copy=False).view(np.uint8)
+    out = tab[0][rows[:, 0]]
+    for p in range(1, tab.shape[0]):
+        out &= tab[p][rows[:, p]]
+    return out.reshape(ct.shape)
+
+
+def _fixpoint(closed: np.ndarray, nmask: np.ndarray, occ_rows: list, ct_rows: list, placed, cop_step) -> Winner:
+    """Least fixed point over a tensor of cop configurations, one axis per
+    row table.
+
+    closed is the (n, n) bool closed-neighbourhood matrix and nmask its
+    packed rows.  OR-ing occ_rows along the axes gives, per configuration,
+    the packed robber vertices it captures (occ); OR-ing ct_rows gives the
+    first cop step CT0 in closed form: occ together with every vertex one
+    cop move reaches from it.  placed indexes the legal placements.  Only
+    when CT0 does not decide the game are the robber table built and the
+    loop run; there cop_step(RT, nb) returns a new array holding, per
+    configuration, the union of RT over its cop moves, where nb[v] lists the
+    closed neighbourhood of v.
     """
-    n = g.n
-    nmask = _pack(_closed_masks(g), n)
-    bits = _pack([1 << r for r in range(n)], n)
-    full = _pack([(1 << n) - 1], n)[0]
-    flat_occ = occ.reshape(-1, occ.shape[-1])
-    rt = occ
+    full = np.bitwise_or.reduce(nmask, axis=0)
+    ct = _or_rows(ct_rows)
+    if (ct[placed] == full).all(axis=-1).any():
+        return Winner.COP
+    tab = _trap_table(nmask, full)
+    cols = np.nonzero(closed)[1]
+    ends = [0, *np.cumsum(closed.sum(axis=1)).tolist()]
+    nb = [cols[a:b] for a, b in zip(ends, ends[1:])]
+    rt = _or_rows(occ_rows)
     while True:
-        ct = occ | cop_step(rt)
-        if (ct[placed] == full).all(axis=-1).any():
-            return Winner.COP
-        flat_ct = ct.reshape(flat_occ.shape)
-        new_rt = flat_occ.copy()
-        for r in range(n):
-            ok = ((flat_ct & nmask[r]) == nmask[r]).all(axis=1)
-            new_rt[ok] |= bits[r]
-        new_rt = new_rt.reshape(occ.shape)
+        new_rt = _or_rows(occ_rows, _trapped(ct, tab))
+        del ct  # one configuration tensor fewer while the cop step builds the next
         if np.array_equal(new_rt, rt):
             return Winner.ROBBER
         rt = new_rt
+        ct = _or_rows(occ_rows, cop_step(rt, nb))
+        if (ct[placed] == full).all(axis=-1).any():
+            return Winner.COP
 
 
-def _trap_sets(n: int, t: int) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Trap-site sets of size <= t as bitmasks (the empty set first), plus the
-    tables add[c, i] / rem[c, i]: the set reached from set i by placing /
-    picking up a trap at c, or i itself when that action is not legal."""
+def _trap_sets(n: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trap-site sets of size <= t as (#sets, n) bool rows (the empty set
+    first), plus the tables add[c, i] / rem[c, i]: the set reached from set i
+    by placing / picking up a trap at c, or i itself when that action is not
+    legal."""
     sets = [s for size in range(t + 1) for s in combinations(range(n), size)]
     index = {s: i for i, s in enumerate(sets)}
     add = np.tile(np.arange(len(sets)), (n, 1))
     rem = add.copy()
+    member = np.array([(i, c) for i, s in enumerate(sets) for c in s], dtype=int).reshape(-1, 2)
+    rows = np.zeros((len(sets), n), dtype=bool)
+    rows[member[:, 0], member[:, 1]] = True
     for i, s in enumerate(sets):
         for c in s:
             j = index[tuple(x for x in s if x != c)]
             rem[c, i] = j
             add[c, j] = i
-    return [sum(1 << c for c in s) for s in sets], add, rem
+    return rows, add, rem
 
 
 def winner(g: Graph, v: Variant) -> Winner | None:
     """Winner for the supported variants, or None when unsupported."""
     n = g.n
-    masks = _closed_masks(g)
     if isinstance(v, Classic) and v.k == 1:
+        masks = _closed_masks(g)
         return _single_cop_winner(masks, masks, n)
     if isinstance(v, Complementary):
-        return _single_cop_winner(_closed_masks(complement(g)), masks, n)
-    closed = [np.array(_mask_to_list(m)) for m in masks]
-    bits = _pack([1 << c for c in range(n)], n)
+        return _single_cop_winner(_closed_masks(complement(g)), _closed_masks(g), n)
+    eye = np.eye(n, dtype=bool)
+    closed = _adjacency([g], n)[0] | eye
+    nmask = _pack(closed)
+    bits = _pack(eye)
     if isinstance(v, Classic):
         k = v.k
-        occ = np.zeros((n,) * k + bits.shape[1:], dtype=np.uint64)
-        for ax in range(k):
-            occ |= bits.reshape((1,) * ax + (n,) + (1,) * (k - 1 - ax) + (-1,))
 
-        def classic_step(rt):
+        def classic_step(rt, nb):
             for ax in range(k):
-                rt = _nbhd_or(rt, ax, closed)
+                rt = _nbhd_or(rt, ax, nb)
             return rt
 
-        return _fixpoint(g, occ, classic_step, ...)
+        return _fixpoint(closed, nmask, [bits] * k, [nmask] * k, ..., classic_step)
     if isinstance(v, Tandem):
         # The lead moves inside its closed neighbourhood, then the second cop
         # anywhere in N[lead]: OR over the second axis, read on the diagonal.
+        # Legal placements are equal or adjacent pairs, and the first cop step
+        # reaches the lead's closed 2-ball.
         diag = np.arange(n)
-        valid = np.zeros((n, n), dtype=bool)  # equal or adjacent pairs
-        for c, nb in enumerate(closed):
-            valid[c, nb] = True
         return _fixpoint(
-            g,
-            bits[:, None] | bits[None, :],
-            lambda rt: _nbhd_or(_nbhd_or(rt, 1, closed)[diag, diag], 0, closed)[:, None],
-            valid,
+            closed,
+            nmask,
+            [bits, bits],
+            [_pack(closed @ closed), bits],
+            closed,
+            lambda rt, nb: _nbhd_or(_nbhd_or(rt, 1, nb)[diag, diag], 0, nb)[:, None].repeat(n, axis=1),
         )
     if isinstance(v, Traps) and v.m == 1:
         sites, add, rem = _trap_sets(n, v.t)
+        sites = _pack(sites)
         cop = np.arange(n)[:, None]
         return _fixpoint(
-            g,
-            bits[:, None] | _pack(sites, n)[None, :],
-            lambda rt: _nbhd_or(rt | rt[cop, add] | rt[cop, rem], 0, closed),
+            closed,
+            nmask,
+            [bits, sites],
+            [nmask, sites],
             (slice(None), 0),  # no traps laid before the first move
+            lambda rt, nb: _nbhd_or(rt | rt[cop, add] | rt[cop, rem], 0, nb),
         )
     return None

@@ -1,5 +1,9 @@
 import random
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
+import numpy as np
 import pytest
 
 from pursuitlab import fastsolve
@@ -159,6 +163,54 @@ def test_fast_and_explicit_backends_agree_random():
     g = gnp_sample(7, 0.5, 189)
     a = build_arena(g, Traps(1, 1))
     assert solve(a).winner[a.root] is game_value(g, Traps(1, 1))
+
+
+def _dominated_by(g: Graph, k: int) -> bool:
+    """Some k vertices have closed neighbourhoods that cover the graph."""
+    closed = [g.adjacency[v] | 1 << v for v in range(g.n)]
+    return any(reduce(or_, (closed[v] for v in s)) == (1 << g.n) - 1 for s in combinations(range(g.n), k))
+
+
+def test_fast_and_explicit_backends_agree_past_the_first_round():
+    """No legal placement dominates the named graphs, so the packed kernel's
+    closed-form first cop step does not decide them and its loop runs; the
+    sparse samples mix games decided in the first round with longer ones."""
+    cases = [
+        (named("cycle(7)"), Classic(2), Winner.COP),  # domination number 3
+        (named("petersen"), Classic(2), Winner.ROBBER),
+        (named("cycle(10)"), Classic(3), Winner.COP),  # domination number 4
+        (_disjoint_union(named("petersen"), named("c4")), Classic(3), Winner.ROBBER),  # cop numbers add to 5
+    ]
+    for g, v, expected in cases:
+        assert not _dominated_by(g, v.k)
+        a = build_arena(g, v)
+        assert solve(a).winner[a.root] is expected
+        assert game_value(g, v) is expected
+    undecided = 0
+    for seed in range(12):
+        g = gnp_sample(9 + seed % 2, 0.2, seed)
+        undecided += not _dominated_by(g, 3)
+        assert not _dominated_by(g, 1)  # so no Traps(1,1) game ends in the first round
+        for v in (Classic(3), Traps(1, 1)):
+            a = build_arena(g, v)
+            assert solve(a).winner[a.root] is game_value(g, v)
+    assert undecided >= 6
+
+
+def test_byte_table_robber_step_matches_its_definition():
+    """The robber is trapped at r iff N[r] lies inside the row CT."""
+    rng = np.random.default_rng(5)
+    # Rows of 1..130 vertices: padding bits in the last word, and several words.
+    for n in (1, 7, 8, 63, 64, 65, 130):
+        g = gnp_sample(n, 0.3, n)
+        closed = np.array([[u == v or g.has_edge(u, v) for u in range(n)] for v in range(n)])
+        ct = rng.random((40, n)) < rng.random((40, 1))  # rows of every density
+        ct = np.vstack([ct, np.zeros(n, bool), np.ones(n, bool)])
+        table = fastsolve._trap_table(fastsolve._pack(closed), fastsolve._pack(np.ones(n, bool)))
+        got = fastsolve._trapped(fastsolve._pack(ct), table)
+        bits = np.unpackbits(got.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+        want = (closed[None] <= ct[:, None]).all(axis=2)  # want[i, r]: N[r] inside ct[i]
+        assert (bits[:, :n] == want).all() and not bits[:, n:].any()
 
 
 def test_batch_and_single_graph_engines_agree():
