@@ -217,9 +217,7 @@ def _cmd_solve(args) -> int:
     if args.cop_number and isinstance(v, games.Classic) and v.k <= args.k_max:
         # Classic(k) is a cop win iff the cop number is at most k, so the
         # cop-number search already solves it; keep its budget error first.
-        estimate = games.state_estimate(g.n, v)
-        if estimate > args.max_states:
-            raise games.ArenaBudgetError(estimate, args.max_states)
+        games.check_budget(g.n, v, args.max_states)
         cop_number = games.cop_number(g, args.k_max, args.max_states)
         winner = games.Winner.COP if cop_number is not None and cop_number <= v.k else games.Winner.ROBBER
     else:

@@ -4,9 +4,10 @@ mu_n(phi) is the fraction of the 2**C(n,2) labeled n-vertex graphs satisfying
 phi, which equals the G(n, 1/2) measure; exact_mu enumerates all edge masks,
 64 to a uint64 lane of the logic module's array evaluator.  Monte Carlo
 trials derive per-trial seeds from the master seed with a fixed integer mix,
-so runs are reproducible and independent of the parallelism degree.  Each
-chunk of trials is sampled in byte-bounded sub-batches, in trial order, and a
-sub-batch goes to the evaluator or the game solver as one batch.
+so runs are reproducible and independent of the parallelism degree.  A
+sentence row and a game row take one path, `_estimate`: trials are cut into
+byte-bounded batches in trial order, and each batch goes to the evaluator or
+the game solver in one call.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import Union
 
 import numpy as np
 
-from .games import DEFAULT_MAX_STATES, ArenaBudgetError, Variant, Winner, game_values, state_estimate, variant_id
-from .graphs import PFamily, gnp_sample
+from .games import DEFAULT_MAX_STATES, ArenaBudgetError, Variant, Winner, check_budget, game_values, variant_id
+from .graphs import GraphError, PFamily, gnp_sample
 from .logic import Formula, LogicError, evaluate_batch, evaluate_lanes, extension_axiom, to_text
 
 __all__ = [
@@ -81,6 +82,7 @@ def wilson_interval(successes: int, samples: int, z: float = Z_95) -> tuple[floa
 
 
 PSpec = Union[float, PFamily]
+SweepTarget = Union[Formula, tuple[Variant, Winner]]
 
 
 def _p_at(p_spec: PSpec, n: int) -> float:
@@ -202,48 +204,56 @@ def verify_ea_bound(m: int, n: int, k: int) -> EaBoundCheck:
 # Monte Carlo estimation.
 
 
-# A chunk's graphs are sampled and solved or evaluated in sub-batches of
-# about this many bytes of n x n adjacency, so memory does not grow with
-# --samples.
+# A batch holds at most this many bytes of n x n adjacency (and at least one
+# graph), so memory does not grow with --samples.
 _SAMPLE_BYTES = 1 << 18
 
 
-def _sample_batches(n: int, p: float, master_seed: int, start: int, stop: int):
-    """The G(n, p) samples of trials start..stop-1, in trial order, as lists."""
-    step = max(1, _SAMPLE_BYTES // (n * n))
-    for a in range(start, stop, step):
-        yield [gnp_sample(n, p, derive_trial_seed(master_seed, i)) for i in range(a, min(a + step, stop))]
+def _target_id(target: SweepTarget) -> str:
+    if isinstance(target, tuple):
+        return f"win[{variant_id(target[0])}]={target[1].value}"
+    return f"mu[{to_text(target)}]"
 
 
-def _mu_chunk(args) -> int:
-    f, n, p, master_seed, start, stop = args
-    return sum(sum(evaluate_batch(f, gs)) for gs in _sample_batches(n, p, master_seed, start, stop))
+def _count(args) -> int:
+    """Successes among trials a..b-1, sampled in trial order and evaluated or
+    solved as one batch."""
+    target, n, p, master_seed, max_states, a, b = args
+    gs = [gnp_sample(n, p, derive_trial_seed(master_seed, i)) for i in range(a, b)]
+    if isinstance(target, tuple):
+        v, who = target
+        return sum(w is who for w in game_values(gs, v, max_states))
+    return sum(evaluate_batch(target, gs))
 
 
-def _win_chunk(args) -> int:
-    variant, who, n, p, master_seed, max_states, start, stop = args
-    return sum(w is who for gs in _sample_batches(n, p, master_seed, start, stop)
-               for w in game_values(gs, variant, max_states))
+def _estimate(target: SweepTarget, n: int, p_spec: PSpec, samples: int, master_seed: int, jobs: int,
+              max_states: int) -> EstimateReport:
+    """The Monte Carlo row behind estimate_mu, estimate_win and sweep.
 
-
-def _run_chunks(worker, static_args, samples: int, jobs: int) -> int:
-    ranges = []
-    step = max(1, -(-samples // max(1, jobs * 4)))
-    for start in range(0, samples, step):
-        ranges.append((start, min(start + step, samples)))
+    Arguments and the worst-case arena size are checked before any sampling
+    starts.  A trial's graph depends on its index alone, so the count does
+    not depend on how the batches are cut or shared among processes.
+    """
+    if n < 1:
+        raise ExperimentError(f"need n >= 1, got {n}")
+    if samples < 1:
+        raise ExperimentError(f"need samples >= 1, got {samples}")
+    if isinstance(target, tuple):
+        check_budget(n, target[0], max_states)
+    t0 = time.perf_counter()
+    p = _p_at(p_spec, n)
+    step = max(1, min(-(-samples // max(1, jobs * 4)), _SAMPLE_BYTES // (n * n)))
+    batches = [(target, n, p, master_seed, max_states, a, min(a + step, samples)) for a in range(0, samples, step)]
     if jobs <= 1:
-        return sum(worker(static_args + r) for r in ranges)
-    # With the fork start method the pool forks every worker it is given at
-    # once, so cap it at the core count; the chunks, and so the result, still
-    # depend only on jobs.
-    with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-        return sum(pool.map(worker, [static_args + r for r in ranges]))
-
-
-def _finish_report(target_id, n, p_spec, samples, successes, master_seed, t0) -> EstimateReport:
+        successes = sum(map(_count, batches))
+    else:
+        # With the fork start method the pool forks every worker it is given
+        # at once, so cap it at the core count.
+        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+            successes = sum(pool.map(_count, batches))
     lo, hi = wilson_interval(successes, samples)
     return EstimateReport(
-        target_id=target_id,
+        target_id=_target_id(target),
         n=n,
         p_spec=p_spec,
         samples=samples,
@@ -258,12 +268,7 @@ def _finish_report(target_id, n, p_spec, samples, successes, master_seed, t0) ->
 
 def estimate_mu(f: Formula, n: int, p_spec: PSpec, samples: int, master_seed: int, jobs: int = 1) -> EstimateReport:
     """Monte Carlo estimate of the G(n,p) probability that f holds."""
-    if samples < 1:
-        raise ExperimentError(f"need samples >= 1, got {samples}")
-    t0 = time.perf_counter()
-    p = _p_at(p_spec, n)
-    successes = _run_chunks(_mu_chunk, (f, n, p, master_seed), samples, jobs)
-    return _finish_report(f"mu[{to_text(f)}]", n, p_spec, samples, successes, master_seed, t0)
+    return _estimate(f, n, p_spec, samples, master_seed, jobs, DEFAULT_MAX_STATES)
 
 
 def estimate_win(
@@ -281,15 +286,7 @@ def estimate_win(
     The worst-case arena size is prechecked so a budget violation aborts
     before any sampling starts.
     """
-    if samples < 1:
-        raise ExperimentError(f"need samples >= 1, got {samples}")
-    estimate = state_estimate(n, v)
-    if estimate > max_states:
-        raise ArenaBudgetError(estimate, max_states)
-    t0 = time.perf_counter()
-    p = _p_at(p_spec, n)
-    successes = _run_chunks(_win_chunk, (v, who, n, p, master_seed, max_states), samples, jobs)
-    return _finish_report(f"win[{variant_id(v)}]={who.value}", n, p_spec, samples, successes, master_seed, t0)
+    return _estimate((v, who), n, p_spec, samples, master_seed, jobs, max_states)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +334,6 @@ def classify_regime(fam: PFamily) -> Regime:
 # ---------------------------------------------------------------------------
 # Sweeps.
 
-SweepTarget = Union[Formula, tuple[Variant, Winner]]
-
-
 def sweep(
     target: SweepTarget,
     n_list: list[int],
@@ -355,16 +349,11 @@ def sweep(
     for n in n_list:
         t0 = time.perf_counter()
         try:
-            if isinstance(target, tuple):
-                v, who = target
-                rows.append(estimate_win(v, who, n, p_spec, samples, master_seed, jobs, max_states))
-            else:
-                rows.append(estimate_mu(target, n, p_spec, samples, master_seed, jobs))
-        except (ArenaBudgetError, ExperimentError, LogicError) as exc:
-            tid = f"win[{variant_id(target[0])}]={target[1].value}" if isinstance(target, tuple) else f"mu[{to_text(target)}]"
+            rows.append(_estimate(target, n, p_spec, samples, master_seed, jobs, max_states))
+        except (ArenaBudgetError, ExperimentError, GraphError, LogicError) as exc:
             rows.append(
                 EstimateReport(
-                    target_id=tid, n=n, p_spec=p_spec, samples=samples, successes=0,
+                    target_id=_target_id(target), n=n, p_spec=p_spec, samples=samples, successes=0,
                     estimate=Fraction(0), ci_low=0.0, ci_high=0.0,
                     master_seed=master_seed, wall_ms=(time.perf_counter() - t0) * 1000.0,
                     error=str(exc),

@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .games import Classic, Complementary, Tandem, Traps, Variant, Winner, _one_size
-from .graphs import Graph, complement
+from .graphs import Graph, _bits_to_list, adjacency_array, complement
 
 __all__ = ["winner", "winners"]
 
@@ -62,20 +62,11 @@ def _closed_masks(g: Graph) -> list[int]:
     return [g.adjacency[v] | (1 << v) for v in range(g.n)]
 
 
-def _mask_to_list(m: int) -> list[int]:
-    out = []
-    while m:
-        b = m & -m
-        out.append(b.bit_length() - 1)
-        m ^= b
-    return out
-
-
 def _single_cop_winner(cop_closed: list[int], robber_closed: list[int], n: int) -> Winner:
     """Classic one-cop game; cop and robber adjacency may differ."""
     full = (1 << n) - 1
     occ = [1 << c for c in range(n)]
-    cop_moves = [_mask_to_list(cop_closed[c]) for c in range(n)]
+    cop_moves = [_bits_to_list(cop_closed[c]) for c in range(n)]
     rt = occ[:]
     while True:
         ct = []
@@ -99,14 +90,6 @@ def _single_cop_winner(cop_closed: list[int], robber_closed: list[int], n: int) 
         rt = new_rt
 
 
-def _adjacency(graphs: Sequence[Graph], n: int) -> np.ndarray:
-    """Adjacency of each graph as a (B, n, n) bool array."""
-    row_bytes = (n + 7) >> 3
-    raw = b"".join(row.to_bytes(row_bytes, "little") for g in graphs for row in g.adjacency)
-    rows = np.frombuffer(raw, np.uint8).reshape(len(graphs), n, row_bytes)
-    return np.unpackbits(rows, axis=2, count=n, bitorder="little").view(bool)
-
-
 def _single_cop_batch(graphs: Sequence[Graph], n: int, complementary: bool) -> list[Winner]:
     """The single-cop fixed point on a batch of n-vertex graphs, over 0/1
     float32 matrices indexed [graph, cop vertex, robber vertex]:
@@ -119,7 +102,7 @@ def _single_cop_batch(graphs: Sequence[Graph], n: int, complementary: bool) -> l
     symmetric.  A graph is decided by a full CT row (cop win) or an unchanged
     RT (robber win), and then leaves the batch.
     """
-    adj = _adjacency(graphs, n)
+    adj = adjacency_array(graphs, n)
     eye = np.eye(n, dtype=np.float32)
     rob = (adj | eye.astype(bool)).astype(np.float32)
     cop = (~adj).astype(np.float32) if complementary else rob  # ~adj is the complement's closed nbhd
@@ -287,7 +270,7 @@ def winner(g: Graph, v: Variant) -> Winner | None:
     if isinstance(v, Complementary):
         return _single_cop_winner(_closed_masks(complement(g)), _closed_masks(g), n)
     eye = np.eye(n, dtype=bool)
-    closed = _adjacency([g], n)[0] | eye
+    closed = adjacency_array([g], n)[0] | eye
     nmask = _pack(closed)
     bits = _pack(eye)
     if isinstance(v, Classic):

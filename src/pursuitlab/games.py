@@ -183,6 +183,13 @@ def state_estimate(n: int, v: Variant) -> int:
     raise GameError(f"unknown variant {v!r}")
 
 
+def check_budget(n: int, v: Variant, max_states: int) -> None:
+    """Raise ArenaBudgetError when state_estimate(n, v) exceeds max_states."""
+    estimate = state_estimate(n, v)
+    if estimate > max_states:
+        raise ArenaBudgetError(estimate, max_states)
+
+
 class Arena:
     """Explicit two-player reachability game over one graph and variant.
 
@@ -465,9 +472,7 @@ def game_value(g: Graph, v: Variant, max_states: int = DEFAULT_MAX_STATES) -> Wi
     (identical conventions, cross-checked in the test suite); other variants
     go through the explicit arena.
     """
-    estimate = state_estimate(g.n, v)
-    if estimate > max_states:
-        raise ArenaBudgetError(estimate, max_states)
+    check_budget(g.n, v, max_states)
     from . import fastsolve
 
     w = fastsolve.winner(g, v)
@@ -494,9 +499,7 @@ def game_values(graphs: Sequence[Graph], v: Variant, max_states: int = DEFAULT_M
     batched fixed point (`fastsolve.winners`); other variants go one graph at
     a time, through the same backends as `game_value`.
     """
-    estimate = state_estimate(_one_size(graphs), v)
-    if estimate > max_states:
-        raise ArenaBudgetError(estimate, max_states)
+    check_budget(_one_size(graphs), v, max_states)
     from . import fastsolve
 
     out = fastsolve.winners(graphs, v)

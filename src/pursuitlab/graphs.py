@@ -2,7 +2,9 @@
 
 Vertices are always the dense range 0..n-1.  Adjacency is stored as one
 bitmask int per vertex, which gives O(1) edge tests and O(deg) neighbor
-iteration; both are load-bearing for the game solvers.
+iteration; both are load-bearing for the game solvers.  `adjacency_array`
+is the one conversion of a batch of graphs to the bool arrays the sentence
+evaluator and the vectorized solvers work on.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "Graph",
@@ -317,6 +321,14 @@ def diameter(g: Graph) -> int | float:
             dist += 1
         best = max(best, dist)
     return best
+
+
+def adjacency_array(graphs: Sequence[Graph], n: int) -> np.ndarray:
+    """Adjacency of n-vertex graphs as a (B, n, n) bool array."""
+    row_bytes = (n + 7) >> 3
+    raw = b"".join(row.to_bytes(row_bytes, "little") for g in graphs for row in g.adjacency)
+    rows = np.frombuffer(raw, np.uint8).reshape(len(graphs), n, row_bytes)
+    return np.unpackbits(rows, axis=2, count=n, bitorder="little").view(bool)
 
 
 def _induced(g: Graph, vertices: list[int]) -> Graph:

@@ -17,7 +17,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, adjacency_array
 
 __all__ = [
     "Formula",
@@ -414,21 +414,18 @@ def evaluate_lanes(f: Formula, n: int, lanes: int, dtype, leaf: Callable[[int, i
     return out
 
 
-def _adjacency_lanes(graphs: list[Graph], n: int) -> np.ndarray:
-    row_bytes = (n + 7) >> 3
-    raw = b"".join(row.to_bytes(row_bytes, "little") for g in graphs for row in g.adjacency)
-    rows = np.frombuffer(raw, np.uint8).reshape(len(graphs), n, row_bytes)
-    edge = np.unpackbits(rows, axis=2, count=n, bitorder="little").view(bool).transpose(1, 2, 0)
-    return np.ascontiguousarray(edge) if len(graphs) > n else edge  # the longer axis innermost
-
-
 def evaluate_batch(f: Formula, graphs: list[Graph]) -> list[bool]:
     """Tarskian truth of a sentence on each graph; all graphs share one n."""
     sizes = {g.n for g in graphs} or {1}
     if len(sizes) > 1:
         raise LogicError(f"evaluate_batch needs graphs of one size, got n in {sorted(sizes)}")
     n = sizes.pop()
-    return evaluate_lanes(f, n, len(graphs), np.bool_, lambda a, b: _adjacency_lanes(graphs[a:b], n)).tolist()
+
+    def leaf(a: int, b: int) -> np.ndarray:
+        edge = adjacency_array(graphs[a:b], n).transpose(1, 2, 0)
+        return np.ascontiguousarray(edge) if b - a > n else edge  # the longer axis innermost
+
+    return evaluate_lanes(f, n, len(graphs), np.bool_, leaf).tolist()
 
 
 def evaluate(f: Formula, g: Graph) -> bool:

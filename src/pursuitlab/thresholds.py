@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .graphs import Graph, GraphError, read_edge_list, write_edge_list
+from .graphs import Graph, GraphError, _induced, read_edge_list, write_edge_list
 from .logic import And, Edge, Eq, Exists, Forall, Formula
 
 __all__ = [
@@ -76,18 +76,6 @@ def common_neighbor_gadget() -> RootedGraph:
     return RootedGraph(Graph(3, [(0, 2), (1, 2)]), frozenset({0, 1}))
 
 
-def _induced_rooted(rg: RootedGraph, keep_non_roots: tuple[int, ...]) -> RootedGraph:
-    vertices = sorted(rg.roots) + sorted(keep_non_roots)
-    order = sorted(vertices)
-    idx = {v: i for i, v in enumerate(order)}
-    edges = []
-    for i, u in enumerate(order):
-        for v in order[i + 1:]:
-            if rg.graph.has_edge(u, v):
-                edges.append((idx[u], idx[v]))
-    return RootedGraph(Graph(len(order), edges), frozenset(idx[r] for r in rg.roots))
-
-
 def subextensions(rg: RootedGraph) -> list[RootedGraph]:
     """All induced (S, R) with R included; S ranges over root set unions with
     every subset of non-roots, from (R alone) up to H itself."""
@@ -97,7 +85,8 @@ def subextensions(rg: RootedGraph) -> list[RootedGraph]:
     out = []
     for size in range(len(nr) + 1):
         for keep in combinations(nr, size):
-            out.append(_induced_rooted(rg, keep))
+            order = sorted(rg.roots.union(keep))
+            out.append(RootedGraph(_induced(rg.graph, order), frozenset(order.index(r) for r in rg.roots)))
     return out
 
 

@@ -222,6 +222,28 @@ def test_sweep_records_too_wide_sentence_in_row(capsys):
     assert code == 2 and out == "" and "too wide" in err
 
 
+def test_n_below_one_is_a_domain_exit_for_mu_and_an_in_row_error_for_sweep(capsys):
+    args = ["--builtin", "escape_1", "--p", "0.5", "--samples", "3", "--seed", "1"]
+    code, out, err = run_cli(capsys, "mu", "--n", "0", *args)
+    assert code == 2 and out == "" and "need n >= 1" in err
+    code, out, _ = run_cli(capsys, "sweep", "--n-list", "0,5", *args)
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    assert [r["n"] for r in rows] == ["0", "5"]
+    assert "need n >= 1" in rows[0]["error"] and rows[0]["successes"] == ""
+    assert rows[1]["error"] == "" and rows[1]["successes"] != ""
+
+
+def test_sweep_records_family_refused_at_small_n_in_row(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--builtin", "escape_1", "--n-list", "1,5",
+                           "--family", "1,1,0", "--samples", "3", "--seed", "1")
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()[1:]))
+    assert [r["n"] for r in rows] == ["1", "5"]
+    assert "PFamily is defined for n >= 2" in rows[0]["error"]
+    assert rows[1]["error"] == "" and rows[1]["successes"] != ""
+
+
 def test_sweep_jobs_do_not_change_results(capsys):
     base = ["sweep", "--builtin", "escape_1", "--n-list", "12", "--p", "0.5",
             "--samples", "60", "--seed", "9"]

@@ -150,6 +150,21 @@ def test_estimate_win_budget_precheck():
         estimate_win(Classic(3), Winner.ROBBER, 500, 0.5, 10, 0)
 
 
+def test_monte_carlo_rows_refuse_bad_arguments_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled a graph")
+
+    monkeypatch.setattr(experiments, "gnp_sample", no_sampling)
+    with pytest.raises(ArenaBudgetError, match="state budget exceeded"):
+        estimate_win(Classic(3), Winner.ROBBER, 500, 0.5, 10, 0)
+    with pytest.raises(ExperimentError, match="need n >= 1"):
+        estimate_mu(escape_k(1), 0, 0.5, 3, 0)
+    with pytest.raises(ExperimentError, match="need n >= 1"):
+        estimate_win(Classic(1), Winner.COP, 0, 0.5, 3, 0)
+    with pytest.raises(ExperimentError, match="need samples >= 1"):
+        estimate_mu(escape_k(1), 5, 0.5, 0, 0)
+
+
 def test_estimate_win_parallel_invariant():
     # BLAS is started in this process before the pool forks its workers.
     np.matmul(np.ones((70, 70), np.float32), np.ones((70, 70), np.float32))
@@ -257,6 +272,14 @@ def test_sweep_records_budget_errors_in_row_and_continues():
     assert rows[0].error == "" and rows[2].error == ""
     assert "state budget" in rows[1].error
     assert rows[1].n == 500
+
+
+def test_sweep_records_argument_errors_in_row_and_continues():
+    rows = sweep(escape_k(1), [0, 5], 0.5, 3, 1)
+    assert "need n >= 1" in rows[0].error and rows[1].error == ""
+    rows = sweep(escape_k(1), [1, 5], PFamily(1, 1, 0), 3, 1)
+    assert "PFamily is defined for n >= 2" in rows[0].error and rows[1].error == ""
+    assert [r.target_id for r in rows] == ["mu[" + to_text(escape_k(1)) + "]"] * 2
 
 
 def test_sweep_csv_schema():
