@@ -17,6 +17,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -226,13 +227,21 @@ def _count(args) -> int:
     return sum(evaluate_batch(target, gs))
 
 
+def _pool(jobs: int) -> ProcessPoolExecutor:
+    # With the fork start method the pool forks every worker it is given at
+    # once, so cap it at the core count.
+    return ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
+
+
 def _estimate(target: SweepTarget, n: int, p_spec: PSpec, samples: int, master_seed: int, jobs: int,
-              max_states: int) -> EstimateReport:
+              max_states: int, pool: ProcessPoolExecutor | None = None) -> EstimateReport:
     """The Monte Carlo row behind estimate_mu, estimate_win and sweep.
 
     Arguments and the worst-case arena size are checked before any sampling
     starts.  A trial's graph depends on its index alone, so the count does
-    not depend on how the batches are cut or shared among processes.
+    not depend on how the batches are cut or shared among processes.  With
+    jobs > 1 the batches go to `pool`, or to a pool of the row's own when
+    none is given.
     """
     if n < 1:
         raise ExperimentError(f"need n >= 1, got {n}")
@@ -246,11 +255,11 @@ def _estimate(target: SweepTarget, n: int, p_spec: PSpec, samples: int, master_s
     batches = [(target, n, p, master_seed, max_states, a, min(a + step, samples)) for a in range(0, samples, step)]
     if jobs <= 1:
         successes = sum(map(_count, batches))
+    elif pool is not None:
+        successes = sum(pool.map(_count, batches))
     else:
-        # With the fork start method the pool forks every worker it is given
-        # at once, so cap it at the core count.
-        with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
-            successes = sum(pool.map(_count, batches))
+        with _pool(jobs) as own:
+            successes = sum(own.map(_count, batches))
     lo, hi = wilson_interval(successes, samples)
     return EstimateReport(
         target_id=_target_id(target),
@@ -344,21 +353,23 @@ def sweep(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> list[EstimateReport]:
     """One report per n, in n order; a row refused for its size (state budget,
-    sentence width) or its arguments records the error in-row."""
+    sentence width) or its arguments records the error in-row.  With
+    jobs > 1 every row shares one process pool."""
     rows: list[EstimateReport] = []
-    for n in n_list:
-        t0 = time.perf_counter()
-        try:
-            rows.append(_estimate(target, n, p_spec, samples, master_seed, jobs, max_states))
-        except (ArenaBudgetError, ExperimentError, GraphError, LogicError) as exc:
-            rows.append(
-                EstimateReport(
-                    target_id=_target_id(target), n=n, p_spec=p_spec, samples=samples, successes=0,
-                    estimate=Fraction(0), ci_low=0.0, ci_high=0.0,
-                    master_seed=master_seed, wall_ms=(time.perf_counter() - t0) * 1000.0,
-                    error=str(exc),
+    with _pool(jobs) if jobs > 1 else nullcontext() as pool:
+        for n in n_list:
+            t0 = time.perf_counter()
+            try:
+                rows.append(_estimate(target, n, p_spec, samples, master_seed, jobs, max_states, pool))
+            except (ArenaBudgetError, ExperimentError, GraphError, LogicError) as exc:
+                rows.append(
+                    EstimateReport(
+                        target_id=_target_id(target), n=n, p_spec=p_spec, samples=samples, successes=0,
+                        estimate=Fraction(0), ci_low=0.0, ci_high=0.0,
+                        master_seed=master_seed, wall_ms=(time.perf_counter() - t0) * 1000.0,
+                        error=str(exc),
+                    )
                 )
-            )
     return rows
 
 

@@ -41,14 +41,14 @@ big-int one, is enforced by the test suite.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .games import Classic, Complementary, Tandem, Traps, Variant, Winner, _one_size
-from .graphs import Graph, _bits_to_list, adjacency_array, complement
+from .games import Classic, Complementary, GameError, Tandem, Traps, Variant, Winner
+from .graphs import Graph, _bits_to_list, adjacency_array, complement, one_size
 
 __all__ = ["winner", "winners"]
 
@@ -138,7 +138,7 @@ def winners(graphs: Sequence[Graph], v: Variant) -> list[Winner | None]:
     """`winner` for each graph; all graphs share one n.  Classic(1) and
     Complementary run through the batch engine, in sub-batches of at most
     _BATCH_BYTES per array; other variants go one graph at a time."""
-    n = _one_size(graphs)
+    n = one_size(graphs, GameError)
     if not (isinstance(v, Classic) and v.k == 1 or isinstance(v, Complementary)):
         return [winner(g, v) for g in graphs]
     step = max(1, _BATCH_BYTES // (4 * n * n))
@@ -241,11 +241,12 @@ def _fixpoint(closed: np.ndarray, nmask: np.ndarray, occ_rows: list, ct_rows: li
             return Winner.COP
 
 
+@lru_cache(maxsize=8)
 def _trap_sets(n: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Trap-site sets of size <= t as (#sets, n) bool rows (the empty set
     first), plus the tables add[c, i] / rem[c, i]: the set reached from set i
     by placing / picking up a trap at c, or i itself when that action is not
-    legal."""
+    legal.  Cached per (n, t); the arrays are read-only."""
     sets = [s for size in range(t + 1) for s in combinations(range(n), size)]
     index = {s: i for i, s in enumerate(sets)}
     add = np.tile(np.arange(len(sets)), (n, 1))
@@ -258,6 +259,8 @@ def _trap_sets(n: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             j = index[tuple(x for x in s if x != c)]
             rem[c, i] = j
             add[c, j] = i
+    for a in (rows, add, rem):
+        a.setflags(write=False)
     return rows, add, rem
 
 

@@ -26,7 +26,7 @@ from itertools import combinations_with_replacement, permutations, product
 from math import comb
 from typing import Callable, Iterable, Sequence, Union
 
-from .graphs import Graph, complement
+from .graphs import Graph, complement, one_size
 
 __all__ = [
     "Winner",
@@ -484,14 +484,6 @@ def _arena_value(g: Graph, v: Variant, max_states: int) -> Winner:
     return solve(arena).winner[arena.root]
 
 
-def _one_size(graphs: Sequence[Graph]) -> int:
-    """The vertex count every graph of a batch shares (1 for an empty batch)."""
-    sizes = {g.n for g in graphs} or {1}
-    if len(sizes) > 1:
-        raise GameError(f"a batch needs graphs of one size, got n in {sorted(sizes)}")
-    return sizes.pop()
-
-
 def game_values(graphs: Sequence[Graph], v: Variant, max_states: int = DEFAULT_MAX_STATES) -> list[Winner]:
     """`game_value` of each graph, in order; all graphs share one n.
 
@@ -499,7 +491,7 @@ def game_values(graphs: Sequence[Graph], v: Variant, max_states: int = DEFAULT_M
     batched fixed point (`fastsolve.winners`); other variants go one graph at
     a time, through the same backends as `game_value`.
     """
-    check_budget(_one_size(graphs), v, max_states)
+    check_budget(one_size(graphs, GameError), v, max_states)
     from . import fastsolve
 
     out = fastsolve.winners(graphs, v)
@@ -521,7 +513,9 @@ def is_dismantlable(g: Graph) -> bool:
 
     A vertex u is dominated when its closed neighborhood (inside the surviving
     set) is contained in another survivor's closed neighborhood; the graph is
-    dismantlable iff deletion reduces it to a single vertex.
+    dismantlable iff deletion reduces it to a single vertex.  A dominator of
+    u contains u in its closed neighborhood, so only u's surviving neighbors
+    are tried.
     """
     closed = [g.adjacency[v] | (1 << v) for v in range(g.n)]
     active = (1 << g.n) - 1
@@ -534,12 +528,12 @@ def is_dismantlable(g: Graph) -> bool:
             m ^= bu
             u = bu.bit_length() - 1
             cu = closed[u] & active
-            mm = active & ~bu
+            mm = cu & ~bu
             while mm:
                 bv = mm & -mm
                 mm ^= bv
                 v = bv.bit_length() - 1
-                if cu & ~(closed[v] & active) == 0:
+                if cu & ~closed[v] == 0:  # cu lies inside active already
                     active ^= bu
                     active_count -= 1
                     removed = True

@@ -13,6 +13,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -143,30 +144,52 @@ class PFamily:
         return f"c={self.c:g},alpha={self.alpha:g},beta={self.beta:g}"
 
 
+# Pairs whose coins are drawn by one getrandbits call (32 KiB of words).
+_DRAW_PAIRS = 4096
+
+
+@lru_cache(maxsize=16)
+def _upper_triangle(n: int) -> np.ndarray:
+    """(n, n) bool mask of the pairs u < v; read-only, shared per n."""
+    mask = np.triu(np.ones((n, n), bool), 1)
+    mask.setflags(write=False)
+    return mask
+
+
 def gnp_sample(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n,p) sample; identical (n,p,seed) gives identical edges.
 
-    Pairs are visited in fixed lexicographic order with a private RNG, so
-    results do not depend on thread count or on any global random state.
+    Pair j in lexicographic order (u, v), u < v, is an edge iff the j-th
+    `random.Random(seed).random()` draw is below p, so results do not depend
+    on thread count or on any global random state.  The draws are read in
+    bulk: `random()` is two MT19937 words a, b as (a >> 5 << 26 | b >> 6)
+    / 2**53, and `getrandbits` returns the same words in the same order,
+    least significant first, so each 64-bit little-endian word of its output
+    is one draw.
     """
     if not 0.0 <= p <= 1.0:
         raise GraphError(f"edge probability must lie in [0,1], got {p}")
     if n < 1:
         raise GraphError(f"need n >= 1, got {n}")
     rng = random.Random(seed)
-    adj = [0] * n
     if p >= 1.0:
         full = (1 << n) - 1
-        adj = [full ^ (1 << v) for v in range(n)]
-        return Graph.from_adjacency(adj)
-    if p > 0.0:
-        rnd = rng.random
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rnd() < p:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-    return Graph.from_adjacency(adj)
+        return Graph.from_adjacency(full ^ (1 << v) for v in range(n))
+    if p <= 0.0:
+        return Graph.from_adjacency([0] * n)
+    below = math.ceil(p * 2**53)  # random() < p iff its 53-bit numerator < below
+    pairs = n * (n - 1) // 2
+    hits = np.empty(pairs, bool)
+    for a in range(0, pairs, _DRAW_PAIRS):
+        k = min(_DRAW_PAIRS, pairs - a)
+        x = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u8")
+        hits[a:a + k] = ((x & 0xFFFFFFFF) >> 5 << 26 | x >> 38) < below
+    adj = np.zeros((n, n), bool)
+    adj[_upper_triangle(n)] = hits  # row-major order is lexicographic pair order
+    adj |= adj.T
+    rb = (n + 7) >> 3
+    raw = np.packbits(adj, axis=1, bitorder="little").tobytes()
+    return Graph.from_adjacency(int.from_bytes(raw[i:i + rb], "little") for i in range(0, n * rb, rb))
 
 
 def gnpn_sample(n: int, fam: PFamily, seed: int) -> Graph:
@@ -321,6 +344,15 @@ def diameter(g: Graph) -> int | float:
             dist += 1
         best = max(best, dist)
     return best
+
+
+def one_size(graphs: Sequence[Graph], error: type[Exception], what: str = "a batch") -> int:
+    """The vertex count every graph of a batch shares (1 for an empty batch);
+    graphs of different sizes raise `error`, saying that `what` needs one."""
+    sizes = {g.n for g in graphs} or {1}
+    if len(sizes) > 1:
+        raise error(f"{what} needs graphs of one size, got n in {sorted(sizes)}")
+    return sizes.pop()
 
 
 def adjacency_array(graphs: Sequence[Graph], n: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .graphs import Graph, adjacency_array
+from .graphs import Graph, adjacency_array, one_size
 
 __all__ = [
     "Formula",
@@ -416,10 +416,7 @@ def evaluate_lanes(f: Formula, n: int, lanes: int, dtype, leaf: Callable[[int, i
 
 def evaluate_batch(f: Formula, graphs: list[Graph]) -> list[bool]:
     """Tarskian truth of a sentence on each graph; all graphs share one n."""
-    sizes = {g.n for g in graphs} or {1}
-    if len(sizes) > 1:
-        raise LogicError(f"evaluate_batch needs graphs of one size, got n in {sorted(sizes)}")
-    n = sizes.pop()
+    n = one_size(graphs, LogicError, "evaluate_batch")
 
     def leaf(a: int, b: int) -> np.ndarray:
         edge = adjacency_array(graphs[a:b], n).transpose(1, 2, 0)

@@ -196,10 +196,13 @@ def test_monte_carlo_chunks_are_sampled_in_bounded_sub_batches():
     assert rep.successes == sum(evaluate(f, gnp_sample(100, 0.08, derive_trial_seed(5, i))) for i in range(120))
 
 
-def test_worker_pool_is_capped_at_the_core_count(monkeypatch):
+@pytest.fixture
+def serial_pools(monkeypatch):
+    """Replaces the process pool with a serial stand-in that starts no
+    process; returns the max_workers of each pool opened."""
     asked = []
 
-    class SerialPool:  # stands in for the process pool; starts no process
+    class SerialPool:
         def __init__(self, max_workers):
             asked.append(max_workers)
 
@@ -213,10 +216,30 @@ def test_worker_pool_is_capped_at_the_core_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    return asked
+
+
+def test_worker_pool_is_capped_at_the_core_count(serial_pools):
     f = extension_axiom(1, 2)
     many = estimate_mu(f, 12, 0.5, 40, 9, jobs=5000)
-    assert asked == [min(5000, os.cpu_count() or 1)]
+    assert serial_pools == [min(5000, os.cpu_count() or 1)]
     assert many.successes == estimate_mu(f, 12, 0.5, 40, 9).successes
+
+
+def test_sweep_opens_one_pool_for_all_its_rows(serial_pools):
+    def rows(jobs):
+        out = sweep(escape_k(1), [6, 0, 9, 12], 0.5, 30, 4, jobs)
+        for r in out:
+            r.wall_ms = 0.0
+        return sweep_to_csv(out)
+
+    assert serial_pools == []
+    assert rows(3) == rows(1)
+    assert serial_pools == [min(3, os.cpu_count() or 1)]
+    target = (Classic(1), Winner.COP)
+    estimate_win(*target, 8, 0.5, 10, 1, jobs=2)
+    sweep(target, [5, 6], 0.5, 10, 1, jobs=2)
+    assert len(serial_pools) == 3
 
 
 # -------------------------------------------------------------------- wilson

@@ -259,6 +259,47 @@ def test_random_trees_are_dismantlable():
         assert is_dismantlable(Graph(n, edges)) is True
 
 
+def _dismantlable_any_survivor(g):
+    """Reference: the same deletion, trying every survivor as a dominator."""
+    closed = [g.adjacency[v] | (1 << v) for v in range(g.n)]
+    active = (1 << g.n) - 1
+    active_count = g.n
+    while active_count > 1:
+        removed = False
+        m = active
+        while m:
+            bu = m & -m
+            m ^= bu
+            u = bu.bit_length() - 1
+            cu = closed[u] & active
+            mm = active & ~bu
+            while mm:
+                bv = mm & -mm
+                mm ^= bv
+                v = bv.bit_length() - 1
+                if cu & ~(closed[v] & active) == 0:
+                    active ^= bu
+                    active_count -= 1
+                    removed = True
+                    break
+            if removed:
+                break
+        if not removed:
+            return False
+    return True
+
+
+def test_dismantlable_matches_any_survivor_reference():
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        g = gnp_sample(n, rng.choice([0.2, 0.5, 0.8]), rng.getrandbits(40))
+        seen.add(_dismantlable_any_survivor(g))
+        assert is_dismantlable(g) is _dismantlable_any_survivor(g)
+    assert seen == {False, True}
+
+
 def test_solver_matches_dismantlable_on_all_5_vertex_graphs():
     gs = list(all_graphs(5))
     for g, w in zip(gs, game_values(gs, Classic(1))):

@@ -1,8 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pursuitlab
 from pursuitlab.graphs import (
     Graph,
     GraphError,
@@ -52,6 +57,47 @@ def test_gnp_rejects_bad_p():
         gnp_sample(5, 1.5, 0)
     with pytest.raises(GraphError):
         gnp_sample(5, -0.1, 0)
+
+
+def _gnp_pair_loop(n, p, seed):
+    """Reference sampler: one random() draw per pair, in lexicographic order."""
+    rng = random.Random(seed)
+    adj = [0] * n
+    if p >= 1.0:
+        full = (1 << n) - 1
+        adj = [full ^ (1 << v) for v in range(n)]
+        return Graph.from_adjacency(adj)
+    if p > 0.0:
+        rnd = rng.random
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rnd() < p:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+    return Graph.from_adjacency(adj)
+
+
+def test_gnp_matches_one_random_draw_per_pair():
+    # n = 130 has 8385 pairs, more than one bulk draw holds.
+    seeds = [0, 1, -5, 2**32 - 1, 2**32, 2**63 + 12345]
+    for n in (1, 2, 6, 60, 63, 64, 65, 130):
+        for p in (0.0, 2**-53, 1e-6, 0.5, 1 - 2**-53, 1.0):
+            for seed in seeds:
+                assert gnp_sample(n, p, seed) == _gnp_pair_loop(n, p, seed), (n, p, seed)
+    # p equal to a draw, and one float either side of it: random() < p is strict.
+    for seed in seeds:
+        draw = random.Random(seed).random()
+        for p in (math.nextafter(draw, 0.0), draw, math.nextafter(draw, 1.0)):
+            assert gnp_sample(2, p, seed).edge_count() == (draw < p)
+
+
+def test_gnp_sample_does_not_import_numpy_random():
+    src = str(Path(pursuitlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, pursuitlab; pursuitlab.gnp_sample(60, 0.5, 1); print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_gnpn_sparse_family_mostly_empty():
