@@ -227,21 +227,23 @@ def _count(args) -> int:
     return sum(evaluate_batch(target, gs))
 
 
-def _pool(jobs: int) -> ProcessPoolExecutor:
-    # With the fork start method the pool forks every worker it is given at
-    # once, so cap it at the core count.
+def _pool(jobs: int) -> ProcessPoolExecutor | nullcontext:
+    """A process pool for jobs > 1, entered as the pool; else a context that
+    enters as None.  With the fork start method the pool forks every worker
+    it is given at once, so it is capped at the core count."""
+    if jobs <= 1:
+        return nullcontext()
     return ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
 
 
 def _estimate(target: SweepTarget, n: int, p_spec: PSpec, samples: int, master_seed: int, jobs: int,
-              max_states: int, pool: ProcessPoolExecutor | None = None) -> EstimateReport:
+              max_states: int, pool: ProcessPoolExecutor | None) -> EstimateReport:
     """The Monte Carlo row behind estimate_mu, estimate_win and sweep.
 
     Arguments and the worst-case arena size are checked before any sampling
     starts.  A trial's graph depends on its index alone, so the count does
-    not depend on how the batches are cut or shared among processes.  With
-    jobs > 1 the batches go to `pool`, or to a pool of the row's own when
-    none is given.
+    not depend on how the batches are cut or shared among processes.  The
+    batches go to `pool`, or run in this process when it is None.
     """
     if n < 1:
         raise ExperimentError(f"need n >= 1, got {n}")
@@ -253,13 +255,7 @@ def _estimate(target: SweepTarget, n: int, p_spec: PSpec, samples: int, master_s
     p = _p_at(p_spec, n)
     step = max(1, min(-(-samples // max(1, jobs * 4)), _SAMPLE_BYTES // (n * n)))
     batches = [(target, n, p, master_seed, max_states, a, min(a + step, samples)) for a in range(0, samples, step)]
-    if jobs <= 1:
-        successes = sum(map(_count, batches))
-    elif pool is not None:
-        successes = sum(pool.map(_count, batches))
-    else:
-        with _pool(jobs) as own:
-            successes = sum(own.map(_count, batches))
+    successes = sum((pool.map if pool else map)(_count, batches))
     lo, hi = wilson_interval(successes, samples)
     return EstimateReport(
         target_id=_target_id(target),
@@ -277,7 +273,8 @@ def _estimate(target: SweepTarget, n: int, p_spec: PSpec, samples: int, master_s
 
 def estimate_mu(f: Formula, n: int, p_spec: PSpec, samples: int, master_seed: int, jobs: int = 1) -> EstimateReport:
     """Monte Carlo estimate of the G(n,p) probability that f holds."""
-    return _estimate(f, n, p_spec, samples, master_seed, jobs, DEFAULT_MAX_STATES)
+    with _pool(jobs) as pool:
+        return _estimate(f, n, p_spec, samples, master_seed, jobs, DEFAULT_MAX_STATES, pool)
 
 
 def estimate_win(
@@ -295,7 +292,8 @@ def estimate_win(
     The worst-case arena size is prechecked so a budget violation aborts
     before any sampling starts.
     """
-    return _estimate((v, who), n, p_spec, samples, master_seed, jobs, max_states)
+    with _pool(jobs) as pool:
+        return _estimate((v, who), n, p_spec, samples, master_seed, jobs, max_states, pool)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +354,7 @@ def sweep(
     sentence width) or its arguments records the error in-row.  With
     jobs > 1 every row shares one process pool."""
     rows: list[EstimateReport] = []
-    with _pool(jobs) if jobs > 1 else nullcontext() as pool:
+    with _pool(jobs) as pool:
         for n in n_list:
             t0 = time.perf_counter()
             try:

@@ -148,10 +148,13 @@ class PFamily:
 _DRAW_PAIRS = 4096
 
 
-@lru_cache(maxsize=16)
+# Samples come in runs of one n (a Monte Carlo row, its checks), so one slot
+# holds the mask for a whole run and keeps at most one n x n mask alive.
+@lru_cache(maxsize=1)
 def _upper_triangle(n: int) -> np.ndarray:
-    """(n, n) bool mask of the pairs u < v; read-only, shared per n."""
-    mask = np.triu(np.ones((n, n), bool), 1)
+    """(n, n) bool mask of the pairs u < v; read-only."""
+    r = np.arange(n)
+    mask = r[:, None] < r
     mask.setflags(write=False)
     return mask
 
