@@ -27,7 +27,7 @@ import numpy as np
 
 from .games import DEFAULT_MAX_STATES, ArenaBudgetError, Variant, Winner, check_budget, game_values, variant_id
 from .graphs import GraphError, PFamily, gnp_sample
-from .logic import Formula, LogicError, evaluate_batch, evaluate_lanes, extension_axiom, to_text
+from .logic import Formula, LogicError, check_sentence, evaluate_batch, evaluate_lanes, extension_axiom, to_text
 
 __all__ = [
     "EstimateReport",
@@ -240,8 +240,8 @@ def _estimate(target: SweepTarget, n: int, p_spec: PSpec, samples: int, master_s
               max_states: int, pool: ProcessPoolExecutor | None) -> EstimateReport:
     """The Monte Carlo row behind estimate_mu, estimate_win and sweep.
 
-    Arguments and the worst-case arena size are checked before any sampling
-    starts.  A trial's graph depends on its index alone, so the count does
+    Arguments, the worst-case arena size and the sentence's width are
+    checked before any sampling starts.  A trial's graph depends on its index alone, so the count does
     not depend on how the batches are cut or shared among processes.  The
     batches go to `pool`, or run in this process when it is None.
     """
@@ -251,6 +251,8 @@ def _estimate(target: SweepTarget, n: int, p_spec: PSpec, samples: int, master_s
         raise ExperimentError(f"need samples >= 1, got {samples}")
     if isinstance(target, tuple):
         check_budget(n, target[0], max_states)
+    else:
+        check_sentence(target, n)
     t0 = time.perf_counter()
     p = _p_at(p_spec, n)
     step = max(1, min(-(-samples // max(1, jobs * 4)), _SAMPLE_BYTES // (n * n)))

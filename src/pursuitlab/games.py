@@ -8,7 +8,10 @@ Conventions (fixed; the winner tables depend on them):
     (including the robber moving onto a cop) or the robber stands on a trap;
   * traps/roadblocks: each cop first moves, then may place a trap (block) at
     its vertex (on an incident edge) or pick one up there; no pre-game
-    placement; robbers cannot traverse blocked edges, cops can;
+    placement; robbers cannot traverse blocked edges, cops can.  Within one
+    turn the cops' actions take effect in an order the cops choose, so one
+    cop's pickup can pay for another's placement; a turn never ends with
+    the stock below zero;
   * tandem: the pair stays equal-or-adjacent from placement on; the lead cop
     moves inside its closed neighborhood, the second cop then relocates to
     any vertex in the closed neighborhood of the lead's new position;
@@ -22,9 +25,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 from math import comb
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .graphs import Graph, complement, one_size
 
@@ -165,22 +168,29 @@ def _closed_lists(g: Graph) -> list[list[int]]:
     return [sorted(set(g.neighbors(v)) | {v}) for v in range(g.n)]
 
 
+def _cop_count(v: Variant) -> int:
+    """Cops of a variant whose placements are any multiset of vertices."""
+    if isinstance(v, Classic):
+        return v.k
+    if isinstance(v, (Traps, Roadblocks)):
+        return v.m
+    if isinstance(v, Complementary):
+        return 1
+    raise GameError(f"unknown variant {v!r}")
+
+
 def state_estimate(n: int, v: Variant) -> int:
     """Worst-case move-state count used for budget prechecks."""
-    if isinstance(v, Classic):
-        return comb(n + v.k - 1, v.k) * n * 2
-    if isinstance(v, Tandem):
-        return n * n * n * 2
-    if isinstance(v, Complementary):
-        return n * n * 2
     if isinstance(v, Traps):
-        sites = sum(comb(n, j) for j in range(v.t + 1))
-        return comb(n + v.m - 1, v.m) * sites * n * 2
-    if isinstance(v, Roadblocks):
-        e_max = n * (n - 1) // 2
-        blocks = sum(comb(e_max, j) for j in range(v.b + 1))
-        return comb(n + v.m - 1, v.m) * blocks * n * 2
-    raise GameError(f"unknown variant {v!r}")
+        aux_sets = sum(comb(n, j) for j in range(v.t + 1))
+    elif isinstance(v, Roadblocks):
+        aux_sets = sum(comb(n * (n - 1) // 2, j) for j in range(v.b + 1))
+    elif isinstance(v, Tandem):
+        return n * n * n * 2
+    else:
+        aux_sets = 1
+    c = _cop_count(v)
+    return comb(n + c - 1, c) * aux_sets * n * 2
 
 
 def check_budget(n: int, v: Variant, max_states: int) -> None:
@@ -219,22 +229,13 @@ class Arena:
         st = self.states[idx]
         tag = st[0]
         if tag == "PC":
-            return GameState((), None, frozenset(), frozenset(), _initial_stock(self.variant), _TURN_NAME[tag])
-        if tag == "PR":
-            cops, aux = st[1], st[2]
-            sites, blocked, stock = _split_aux(self.variant, aux)
-            return GameState(cops, None, sites, blocked, stock, _TURN_NAME[tag])
-        cops, r, aux = st[1], st[2], st[3]
+            cops, r, aux = (), None, _initial_aux(self.variant)
+        elif tag == "PR":
+            cops, r, aux = st[1], None, st[2]
+        else:
+            cops, r, aux = st[1:]
         sites, blocked, stock = _split_aux(self.variant, aux)
         return GameState(cops, r, sites, blocked, stock, _TURN_NAME[tag])
-
-
-def _initial_stock(v: Variant) -> int:
-    if isinstance(v, Traps):
-        return v.t
-    if isinstance(v, Roadblocks):
-        return v.b
-    return 0
 
 
 def _split_aux(v: Variant, aux) -> tuple[frozenset, frozenset, int]:
@@ -246,103 +247,50 @@ def _split_aux(v: Variant, aux) -> tuple[frozenset, frozenset, int]:
 
 
 def _initial_aux(v: Variant):
-    if isinstance(v, (Traps, Roadblocks)):
-        return ((), _initial_stock(v))
+    if isinstance(v, Traps):
+        return ((), v.t)
+    if isinstance(v, Roadblocks):
+        return ((), v.b)
     return ()
 
 
-def _is_capture(v: Variant, cops: tuple[int, ...], r: int, aux) -> bool:
-    if r in cops:
-        return True
-    if isinstance(v, Traps) and r in aux[0]:
-        return True
-    return False
+def _placements(g: Graph, v: Variant) -> list[tuple[int, ...]]:
+    if isinstance(v, Tandem):
+        return [(c1, c2) for c1 in range(g.n) for c2 in range(g.n) if c1 == c2 or g.has_edge(c1, c2)]
+    return list(combinations_with_replacement(range(g.n), _cop_count(v)))
 
 
-def _placements(g: Graph, v: Variant) -> Iterable[tuple[tuple[int, ...], object]]:
-    aux = _initial_aux(v)
-    if isinstance(v, Classic):
-        for cops in combinations_with_replacement(range(g.n), v.k):
-            yield cops, aux
-    elif isinstance(v, (Traps, Roadblocks)):
-        for cops in combinations_with_replacement(range(g.n), v.m):
-            yield cops, aux
-    elif isinstance(v, Complementary):
-        for c in range(g.n):
-            yield (c,), aux
-    elif isinstance(v, Tandem):
-        for c1 in range(g.n):
-            for c2 in range(g.n):
-                if c1 == c2 or g.has_edge(c1, c2):
-                    yield (c1, c2), aux
-    else:
-        raise GameError(f"unknown variant {v!r}")
+def _toggles(items: tuple, stock: int, choices: tuple):
+    """Keep, or toggle one choice: pick it up (stock + 1) or put it down (stock - 1)."""
+    yield items, stock
+    for x in choices:
+        if x in items:
+            yield tuple(i for i in items if i != x), stock + 1
+        else:
+            yield tuple(sorted(items + (x,))), stock - 1
 
 
-def _trap_actions(c: int, sites: tuple[int, ...], stock: int):
-    yield sites, stock
-    if stock > 0 and c not in sites:
-        yield tuple(sorted(sites + (c,))), stock - 1
-    if c in sites:
-        yield tuple(s for s in sites if s != c), stock + 1
-
-
-def _block_actions(g: Graph, c: int, blocked: tuple, stock: int):
-    yield blocked, stock
-    for x in sorted(g.neighbors(c)):
-        e = (min(c, x), max(c, x))
-        if stock > 0 and e not in blocked:
-            yield tuple(sorted(blocked + (e,))), stock - 1
-        if e in blocked:
-            yield tuple(b for b in blocked if b != e), stock + 1
-
-
-def _cop_moves(g: Graph, v: Variant, closed, cops: tuple[int, ...], aux):
-    """Joint cop moves as (new_cops, new_aux) pairs, deduplicated, sorted."""
-    if isinstance(v, Classic):
-        seen = set()
-        for joint in product(*(closed[c] for c in cops)):
-            key = tuple(sorted(joint))
-            if key not in seen:
-                seen.add(key)
-                yield key, aux
-    elif isinstance(v, Complementary):
-        for c2 in closed[cops[0]]:  # closed lists of the complement graph
-            yield (c2,), aux
-    elif isinstance(v, Tandem):
+def _cop_moves(v: Variant, closed, choices, cops: tuple[int, ...], aux):
+    """Joint cop moves as (new_cops, new_aux) pairs, deduplicated."""
+    if isinstance(v, Tandem):
         c1, _ = cops
-        for c1n in closed[c1]:
-            for c2n in closed[c1n]:
-                yield (c1n, c2n), aux
-    elif isinstance(v, (Traps, Roadblocks)):
-        # Each cop moves, then may act at its new vertex. Actions within one
-        # turn interact only through the shared stock, so thread them in
-        # every order to avoid biasing pickup-then-place combinations.
-        act = _trap_actions if isinstance(v, Traps) else (lambda c, b, st: _block_actions(g, c, b, st))
-        results = set()
-        for joint in product(*(closed[c] for c in cops)):
-            orders = {joint} if len(set(joint)) <= 1 else set(permutations(joint))
-            for order in orders:
-                states = [aux]
-                for c2 in order:
-                    states = [nxt for s, st in states for nxt in act(c2, s, st)]
-                    states = list(dict.fromkeys(states))
-                for final_aux in states:
-                    results.add((tuple(sorted(joint)), final_aux))
-        yield from sorted(results)
-    else:
-        raise GameError(f"unknown variant {v!r}")
-
-
-def _robber_moves(g: Graph, v: Variant, r: int, aux) -> list[int]:
-    if isinstance(v, Roadblocks):
-        blocked = aux[0]
-        out = [r]
-        for x in g.neighbors(r):
-            if (min(r, x), max(r, x)) not in blocked:
-                out.append(x)
-        return sorted(out)
-    return sorted(set(g.neighbors(r)) | {r})
+        return [((c1n, c2n), aux) for c1n in closed[c1] for c2n in closed[c1n]]
+    if choices is None:  # first-seen order
+        keys = dict.fromkeys(tuple(sorted(joint)) for joint in product(*(closed[c] for c in cops)))
+        return [(key, aux) for key in keys]
+    # Each cop moves, then may toggle one choice at its new vertex.  Toggles
+    # interact only through the stock: two of one item cancel, as keeping
+    # does, and a net set of toggles has a legal order (pickups first)
+    # exactly when it ends with stock >= 0.  So thread them once, in cop
+    # order, let the stock dip below zero in between and filter at the end.
+    results = set()
+    for joint in product(*(closed[c] for c in cops)):
+        auxes = {aux}
+        for c in joint:
+            auxes = {nxt for items, stock in auxes for nxt in _toggles(items, stock, choices[c])}
+        key = tuple(sorted(joint))
+        results.update((key, a) for a in auxes if a[1] >= 0)
+    return sorted(results)
 
 
 def build_arena(g: Graph, v: Variant, max_states: int = DEFAULT_MAX_STATES) -> Arena:
@@ -351,7 +299,14 @@ def build_arena(g: Graph, v: Variant, max_states: int = DEFAULT_MAX_STATES) -> A
     Raises ArenaBudgetError (leaving no partial arena behind) as soon as the
     reachable state set would exceed max_states.
     """
-    move_closed = _closed_lists(complement(g)) if isinstance(v, Complementary) else _closed_lists(g)
+    robber_closed = _closed_lists(g)
+    cop_closed = _closed_lists(complement(g)) if isinstance(v, Complementary) else robber_closed
+    traps, blocks = isinstance(v, Traps), isinstance(v, Roadblocks)
+    choices = None
+    if traps:
+        choices = [(c,) for c in range(g.n)]
+    elif blocks:
+        choices = [tuple((min(c, x), max(c, x)) for x in sorted(g.neighbors(c))) for c in range(g.n)]
     states: list[tuple] = [("PC",)]
     index: dict[tuple, int] = {("PC",): 0}
     succ: list[list[int]] = []
@@ -375,34 +330,27 @@ def build_arena(g: Graph, v: Variant, max_states: int = DEFAULT_MAX_STATES) -> A
         if tag == "PC":
             owner.append(Owner.COPS)
             capture.append(False)
-            succ.append([intern(("PR", cops, aux)) for cops, aux in _placements(g, v)])
+            aux = _initial_aux(v)
+            succ.append([intern(("PR", cops, aux)) for cops in _placements(g, v)])
         elif tag == "PR":
             owner.append(Owner.ROBBER)
             capture.append(False)
             cops, aux = st[1], st[2]
             succ.append([intern(("C", cops, r, aux)) for r in range(g.n)])
-        elif tag == "C":
-            cops, r, aux = st[1], st[2], st[3]
-            owner.append(Owner.COPS)
-            if _is_capture(v, cops, r, aux):
-                capture.append(True)
+        else:
+            cops, r, aux = st[1:]
+            owner.append(Owner.COPS if tag == "C" else Owner.ROBBER)
+            caught = r in cops or traps and r in aux[0]
+            capture.append(caught)
+            if caught:
                 succ.append([])
+            elif tag == "C":
+                succ.append([intern(("R", c2, r, a2)) for c2, a2 in _cop_moves(v, cop_closed, choices, cops, aux)])
             else:
-                capture.append(False)
-                succ.append(
-                    [intern(("R", c2, r, a2)) for c2, a2 in _cop_moves(g, v, move_closed, cops, aux)]
-                )
-        else:  # "R"
-            cops, r, aux = st[1], st[2], st[3]
-            owner.append(Owner.ROBBER)
-            if _is_capture(v, cops, r, aux):
-                capture.append(True)
-                succ.append([])
-            else:
-                capture.append(False)
-                succ.append(
-                    [intern(("C", cops, r2, aux)) for r2 in _robber_moves(g, v, r, aux)]
-                )
+                moves = robber_closed[r]
+                if blocks:
+                    moves = [x for x in moves if (min(r, x), max(r, x)) not in aux[0]]
+                succ.append([intern(("C", cops, r2, aux)) for r2 in moves])
         head += 1
     return Arena(g, v, states, index, succ, owner, capture)
 

@@ -37,6 +37,7 @@ __all__ = [
     "evaluate",
     "evaluate_batch",
     "evaluate_lanes",
+    "check_sentence",
     "extension_axiom",
     "escape_k",
     "trap_escape",
@@ -389,12 +390,10 @@ def _array(node: tuple, axes: dict[str, int], rank: int, edge: np.ndarray, eye: 
     return acc
 
 
-def evaluate_lanes(f: Formula, n: int, lanes: int, dtype, leaf: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """Truth of sentence f on each of `lanes` lanes over the universe 0..n-1.
+def _checked_plan(f: Formula, n: int, dtype) -> tuple[tuple, int, int]:
+    """The plan of sentence f, its width and its bytes per lane of `dtype` at n.
 
-    leaf(start, stop) gives lanes start..stop-1 as an (n, n, stop - start) adjacency tensor of
-    `dtype` (bool: one graph per lane; uint64: one graph per bit).  Every array keeps its memory
-    order, which is fastest with the longer of the lane and vertex axes innermost.
+    Raises LogicError when f has free variables, n < 1, or f is too wide at n.
     """
     plan = _plan(f)
     if plan[1]:
@@ -406,6 +405,23 @@ def evaluate_lanes(f: Formula, n: int, lanes: int, dtype, leaf: Callable[[int, i
     if width >= 32 or lane_bytes > _MAX_ARRAY_BYTES:
         raise LogicError(f"sentence is too wide to evaluate at n={n}: its widest subformula has {width} free "
                          f"variables, {lane_bytes} bytes per lane, over the {_MAX_ARRAY_BYTES}-byte bound")
+    return plan, width, lane_bytes
+
+
+def check_sentence(f: Formula, n: int) -> None:
+    """Raise LogicError where evaluate_batch would refuse f on n-vertex graphs,
+    before any graph exists."""
+    _checked_plan(f, n, np.bool_)
+
+
+def evaluate_lanes(f: Formula, n: int, lanes: int, dtype, leaf: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """Truth of sentence f on each of `lanes` lanes over the universe 0..n-1.
+
+    leaf(start, stop) gives lanes start..stop-1 as an (n, n, stop - start) adjacency tensor of
+    `dtype` (bool: one graph per lane; uint64: one graph per bit).  Every array keeps its memory
+    order, which is fastest with the longer of the lane and vertex axes innermost.
+    """
+    plan, width, lane_bytes = _checked_plan(f, n, dtype)
     step = max(1, _BATCH_BYTES // lane_bytes)
     eye = np.eye(n, dtype=bool)[:, :, None] * ~np.zeros(1, dtype)
     out = np.empty(lanes, dtype)

@@ -163,6 +163,10 @@ def test_monte_carlo_rows_refuse_bad_arguments_before_sampling(monkeypatch):
         estimate_win(Classic(1), Winner.COP, 0, 0.5, 3, 0)
     with pytest.raises(ExperimentError, match="need samples >= 1"):
         estimate_mu(escape_k(1), 5, 0.5, 0, 0)
+    with pytest.raises(LogicError, match="too wide to evaluate at n=6000"):
+        estimate_mu(empty_graph(), 6000, 0.5, 1, 0)
+    with pytest.raises(LogicError, match="too wide to evaluate at n=80"):
+        estimate_mu(escape_k(2), 80, 0.5, 1, 0)
 
 
 def test_estimate_win_parallel_invariant():

@@ -1,6 +1,6 @@
 import random
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations, product
 from operator import or_
 
 import numpy as np
@@ -8,6 +8,7 @@ import pytest
 
 from pursuitlab import fastsolve
 from pursuitlab.games import (
+    Arena,
     ArenaBudgetError,
     Classic,
     Complementary,
@@ -27,7 +28,7 @@ from pursuitlab.games import (
     solve,
     state_estimate,
 )
-from pursuitlab.graphs import Graph, gnp_sample, named
+from pursuitlab.graphs import Graph, complement, gnp_sample, named
 
 from conftest import all_graphs, graph_from_mask, pair_list
 
@@ -467,3 +468,169 @@ def test_traps_with_two_cops_goes_through_explicit_arena():
     g = named("c4")
     a = build_arena(g, Traps(2, 1))
     assert solve(a).winner[a.root] is game_value(g, Traps(2, 1))
+
+
+# ------------------------------------------------------------ move-rule pin
+# The explicit arena's move rules as they stood before toggles were threaded
+# once per joint move: one action generator per variant, every order of the
+# cops tried, Complementary with its own branches.  The pin test checks that
+# build_arena and solve still give the same arena and WinMap.
+
+def _ref_initial_aux(v):
+    if isinstance(v, Traps):
+        return ((), v.t)
+    if isinstance(v, Roadblocks):
+        return ((), v.b)
+    return ()
+
+
+def _ref_placements(g, v):
+    aux = _ref_initial_aux(v)
+    if isinstance(v, Classic):
+        for cops in combinations_with_replacement(range(g.n), v.k):
+            yield cops, aux
+    elif isinstance(v, (Traps, Roadblocks)):
+        for cops in combinations_with_replacement(range(g.n), v.m):
+            yield cops, aux
+    elif isinstance(v, Complementary):
+        for c in range(g.n):
+            yield (c,), aux
+    else:
+        for c1 in range(g.n):
+            for c2 in range(g.n):
+                if c1 == c2 or g.has_edge(c1, c2):
+                    yield (c1, c2), aux
+
+
+def _ref_trap_actions(c, sites, stock):
+    yield sites, stock
+    if stock > 0 and c not in sites:
+        yield tuple(sorted(sites + (c,))), stock - 1
+    if c in sites:
+        yield tuple(s for s in sites if s != c), stock + 1
+
+
+def _ref_block_actions(g, c, blocked, stock):
+    yield blocked, stock
+    for x in sorted(g.neighbors(c)):
+        e = (min(c, x), max(c, x))
+        if stock > 0 and e not in blocked:
+            yield tuple(sorted(blocked + (e,))), stock - 1
+        if e in blocked:
+            yield tuple(b for b in blocked if b != e), stock + 1
+
+
+def _ref_cop_moves(g, v, closed, cops, aux):
+    if isinstance(v, Classic):
+        seen = set()
+        for joint in product(*(closed[c] for c in cops)):
+            key = tuple(sorted(joint))
+            if key not in seen:
+                seen.add(key)
+                yield key, aux
+    elif isinstance(v, Complementary):
+        for c2 in closed[cops[0]]:
+            yield (c2,), aux
+    elif isinstance(v, Tandem):
+        for c1n in closed[cops[0]]:
+            for c2n in closed[c1n]:
+                yield (c1n, c2n), aux
+    else:
+        act = _ref_trap_actions if isinstance(v, Traps) else (lambda c, b, st: _ref_block_actions(g, c, b, st))
+        results = set()
+        for joint in product(*(closed[c] for c in cops)):
+            orders = {joint} if len(set(joint)) <= 1 else set(permutations(joint))
+            for order in orders:
+                states = [aux]
+                for c2 in order:
+                    states = list(dict.fromkeys(nxt for s, st in states for nxt in act(c2, s, st)))
+                for final_aux in states:
+                    results.add((tuple(sorted(joint)), final_aux))
+        yield from sorted(results)
+
+
+def _ref_robber_moves(g, v, r, aux):
+    if isinstance(v, Roadblocks):
+        return sorted([r] + [x for x in g.neighbors(r) if (min(r, x), max(r, x)) not in aux[0]])
+    return sorted(set(g.neighbors(r)) | {r})
+
+
+def _ref_arena(g, v):
+    def closed_lists(h):
+        return [sorted(set(h.neighbors(u)) | {u}) for u in range(h.n)]
+
+    move_closed = closed_lists(complement(g) if isinstance(v, Complementary) else g)
+    states, index, succ, owner, capture = [("PC",)], {("PC",): 0}, [], [], []
+
+    def intern(st):
+        if st not in index:
+            index[st] = len(states)
+            states.append(st)
+        return index[st]
+
+    head = 0
+    while head < len(states):
+        st = states[head]
+        tag = st[0]
+        if tag == "PC":
+            owner.append(Owner.COPS)
+            capture.append(False)
+            succ.append([intern(("PR", cops, aux)) for cops, aux in _ref_placements(g, v)])
+        elif tag == "PR":
+            owner.append(Owner.ROBBER)
+            capture.append(False)
+            succ.append([intern(("C", st[1], r, st[2])) for r in range(g.n)])
+        else:
+            _, cops, r, aux = st
+            owner.append(Owner.COPS if tag == "C" else Owner.ROBBER)
+            caught = r in cops or (isinstance(v, Traps) and r in aux[0])
+            capture.append(caught)
+            if caught:
+                succ.append([])
+            elif tag == "C":
+                succ.append([intern(("R", c2, r, a2)) for c2, a2 in _ref_cop_moves(g, v, move_closed, cops, aux)])
+            else:
+                succ.append([intern(("C", cops, r2, aux)) for r2 in _ref_robber_moves(g, v, r, aux)])
+        head += 1
+    return Arena(g, v, states, index, succ, owner, capture)
+
+
+PIN_VARIANTS = [
+    Classic(1), Classic(2), Classic(3), Tandem(), Complementary(),
+    Traps(1, 0), Traps(1, 1), Traps(1, 2), Traps(2, 1), Traps(2, 2), Traps(3, 1),
+    Roadblocks(1, 0), Roadblocks(1, 1), Roadblocks(1, 2), Roadblocks(2, 1),
+]
+
+
+@pytest.mark.parametrize("v", PIN_VARIANTS, ids=str)
+def test_arena_matches_the_reference_move_rules(v):
+    m = getattr(v, "m", 1)
+    n_max = {1: 7, 2: 6, 3: 4}[m]
+    rng = random.Random(f"pin {v}")
+    for i in range(6):
+        n = 1 + i if i < 2 else rng.randint(3, n_max)
+        g = gnp_sample(n, rng.choice([0.3, 0.5, 0.8]), rng.getrandbits(32))
+        a, ref = build_arena(g, v), _ref_arena(g, v)
+        assert (a.states, a.succ, a.owner, a.capture) == (ref.states, ref.succ, ref.owner, ref.capture)
+        wa, wr = solve(a), solve(ref)
+        assert (wa.winner, wa.cop_strategy, wa.robber_strategy) == (wr.winner, wr.cop_strategy, wr.robber_strategy)
+
+
+def test_unused_stock_is_classic_and_more_stock_never_hurts_the_cops():
+    """Traps and roadblocks against an independent backend: with no stock the
+    game is Classic(m), and a cop win stays one with one more trap or block,
+    since cops can always leave it unused."""
+    rng = random.Random(30)
+    flips = set()
+    for i in range(80):
+        m = 1 if i % 5 else 2
+        g = gnp_sample(rng.randint(2, 7 if m == 1 else 6), rng.choice([0.2, 0.4, 0.6]), rng.getrandbits(32))
+        classic = game_value(g, Classic(m))
+        for kind in (Traps, Roadblocks):
+            winners = [game_value(g, kind(m, s)) for s in range(3 if m == 1 else 2)]
+            assert winners[0] is classic
+            for s in range(1, len(winners)):
+                assert not (winners[s - 1] is Winner.COP and winners[s] is Winner.ROBBER)
+                if winners[s - 1] is Winner.ROBBER and winners[s] is Winner.COP:
+                    flips.add(s)
+    assert flips == {1, 2}
