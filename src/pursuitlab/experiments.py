@@ -241,9 +241,10 @@ def _estimate(target: SweepTarget, n: int, p_spec: PSpec, samples: int, master_s
     """The Monte Carlo row behind estimate_mu, estimate_win and sweep.
 
     Arguments, the worst-case arena size and the sentence's width are
-    checked before any sampling starts.  A trial's graph depends on its index alone, so the count does
-    not depend on how the batches are cut or shared among processes.  The
-    batches go to `pool`, or run in this process when it is None.
+    checked before any sampling starts.  A trial's graph depends on its
+    index alone, so the count does not depend on how the batches are cut or
+    shared among processes.  The batches go to `pool`, or run in this
+    process when it is None.
     """
     if n < 1:
         raise ExperimentError(f"need n >= 1, got {n}")

@@ -204,7 +204,7 @@ class Arena:
     """Explicit two-player reachability game over one graph and variant.
 
     State 0 is the cop-placement root; indexing is the deterministic BFS
-    discovery order with sorted successor generation.
+    discovery order over successor lists generated in a fixed order.
     """
 
     def __init__(self, g: Graph, v: Variant, states, index, succ, owner, capture):
