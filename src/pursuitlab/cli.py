@@ -163,7 +163,7 @@ def build_parser() -> _Parser:
 
     mu = sub.add_parser("mu", help="exact or Monte Carlo mu for a sentence (JSON report)")
     _add_formula_source(mu)
-    mu.add_argument("--exact", action="store_true", help="full enumeration (n <= 7)")
+    mu.add_argument("--exact", action="store_true", help="exact uniform measure, p = 1/2 (n <= 8)")
     mu.add_argument("--n", type=int, required=True)
     _add_p_spec(mu)
     mu.add_argument("--samples", type=int, default=1000)
@@ -258,10 +258,12 @@ def _cmd_mu(args) -> int:
     f = _load_formula(args)
     config = {
         "command": "mu", "formula": args.formula, "axiom": args.axiom, "builtin": args.builtin,
-        "exact": bool(args.exact), "n": args.n, **_p_config(args),
+        "exact": bool(args.exact), "n": args.n, **({"p": 0.5} if args.exact else _p_config(args)),
         "samples": args.samples, "seed": args.seed, "jobs": args.jobs,
     }
     if args.exact:
+        if args.family is not None or args.p not in (None, 0.5):
+            raise UsageError("--exact is the uniform measure, p = 1/2; drop --family and any other --p")
         value = experiments.exact_mu(f, args.n)
         _emit(_json_dump({"config": config, "formula": logic.to_text(f),
                           "mu_num": value.numerator, "mu_den": value.denominator,

@@ -1,13 +1,15 @@
 """Exact and Monte Carlo estimation of sentence and game-outcome probabilities.
 
 mu_n(phi) is the fraction of the 2**C(n,2) labeled n-vertex graphs satisfying
-phi, which equals the G(n, 1/2) measure; exact_mu enumerates all edge masks,
-64 to a uint64 lane of the logic module's array evaluator.  Monte Carlo
-trials derive per-trial seeds from the master seed with a fixed integer mix,
-so runs are reproducible and independent of the parallelism degree.  A
-sentence row and a game row take one path, `_estimate`: trials are cut into
-byte-bounded batches in trial order, and each batch goes to the evaluator or
-the game solver in one call.
+phi, which equals the G(n, 1/2) measure.  exact_mu sums over weighted
+representatives instead of every labelled graph: cell refinement fixes the
+vertices before the last four, and each representative is one uint64 lane of
+the logic module's array evaluator, which holds the 64 graphs on those four.
+Monte Carlo trials derive per-trial seeds from the master seed with a fixed
+integer mix, so runs are reproducible and independent of the parallelism
+degree.  A sentence row and a game row take one path, `_estimate`: trials are
+cut into byte-bounded batches in trial order, and each batch goes to the
+evaluator or the game solver in one call.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, product
 from math import comb
+from operator import mul
 from typing import Union
 
 import numpy as np
@@ -155,32 +160,78 @@ CSV_COLUMNS = [
 
 
 # ---------------------------------------------------------------------------
-# Exact mu by full enumeration of edge masks, 64 masks to a uint64 lane.
+# Exact mu over weighted representatives.  A sentence over {E, =} cannot tell
+# isomorphic graphs apart, so labelled graphs are grouped by cell refinement
+# as in orderly generation (Read 1978; McKay 1998), without canonical
+# labelling.  Vertices 0..k-1, k = max(0, n - 4), are fixed in turn.  The
+# unfixed vertices lie in contiguous cells of equal adjacency to the fixed
+# ones, and vertex i is the first member of the first cell.  Vertex i's
+# neighbours in a cell C are C's first j members, which stand for C(|C|, j)
+# labelled choices, and C splits in two.  The last min(n, 4) vertices' pairs
+# then take every value in one uint64 lane: mask b is bit b, and bit e of
+# mask b is pair e, so that pair's lane is _LOW_EDGE_BITS[e].
 
-_EXACT_MU_MAX_N = 7
+_EXACT_MU_MAX_N = 8
+# Representative lanes times bytes per lane beyond this are refused.
+_EXACT_MU_MAX_BYTES = 1 << 30
+_LANE_VERTICES = 4
 _LOW_EDGE_BITS = [sum(1 << b for b in range(64) if b >> e & 1) for e in range(6)]
 
 
-def _mask_lanes(n: int, start: int, stop: int) -> np.ndarray:
-    """Adjacency of edge masks 64*start .. 64*stop-1: mask 64*w+b is bit b of
-    lane w, and bit e of a mask is the e-th pair (u, v), u < v.  For e < 6
-    that bit is the same in every lane: bit b of _LOW_EDGE_BITS[e] is bit e of b."""
-    words = np.arange(start, stop, dtype=np.uint64)
-    edge = np.zeros((n, n, stop - start), np.uint64)
-    for e, (u, v) in enumerate(zip(*np.triu_indices(n, 1))):
-        edge[u, v] = edge[v, u] = _LOW_EDGE_BITS[e] if e < 6 else -((words >> np.uint64(e - 6)) & np.uint64(1))
-    return edge
+@lru_cache(maxsize=None)
+def _representatives(n: int) -> tuple[list[int], np.ndarray]:
+    """Weights of the representatives at n, and a bool (pairs, representatives)
+    array: row p says whether the p-th pair (u, v), u < v, with u among the
+    fixed vertices, is an edge.  The weights are Python ints; each counts the
+    labelled graphs that one mask of its lane stands for, so they sum to
+    2**C(n,2) over the 2**C(min(n,4),2) masks of a lane."""
+    k = max(0, n - _LANE_VERTICES)
+    weights: list[int] = []
+    rows: list[list[bool]] = []
+
+    def grow(i: int, cells: list[int], weight: int, row: list[bool]) -> None:
+        if i == k:
+            weights.append(weight)
+            rows.append(row)
+            return
+        rest = cells[1:] if cells[0] == 1 else [cells[0] - 1, *cells[1:]]  # vertices i+1..n-1
+        for js in product(*(range(size + 1) for size in rest)):
+            w, bits, split = weight, [], []
+            for size, j in zip(rest, js):
+                w *= comb(size, j)
+                bits += [True] * j + [False] * (size - j)
+                split += [c for c in (j, size - j) if c]
+            grow(i + 1, split, w, row + bits)
+
+    grow(0, [n], 1, [])
+    return weights, np.array(rows, bool).reshape(len(rows), -1).T
 
 
 def exact_mu(f: Formula, n: int) -> Fraction:
-    """Exact mu_n(f): satisfying labeled graphs over 2**C(n,2), full enumeration."""
+    """Exact mu_n(f): satisfying labelled graphs over 2**C(n,2), summed over
+    weighted representatives, one uint64 lane each.
+
+    A call whose representative lanes times bytes per lane exceed a fixed
+    bound is refused before any lane is built."""
     if n < 1:
         raise ExperimentError(f"need n >= 1, got {n}")
     if n > _EXACT_MU_MAX_N:
         raise ExperimentError(f"exact_mu is capped at n={_EXACT_MU_MAX_N}, got n={n}")
-    total = 1 << comb(n, 2)
-    lanes = evaluate_lanes(f, n, -(-total // 64), np.uint64, lambda a, b: _mask_lanes(n, a, b))
-    return Fraction(int(np.unpackbits(lanes.astype("<u8").view(np.uint8), count=total, bitorder="little").sum()), total)
+    lane_bytes = check_sentence(f, n, np.uint64)
+    weights, fixed = _representatives(n)
+    if len(weights) * lane_bytes > _EXACT_MU_MAX_BYTES:
+        raise ExperimentError(f"exact_mu at n={n} needs {len(weights)} lanes of {lane_bytes} bytes, "
+                              f"over the {_EXACT_MU_MAX_BYTES}-byte bound")
+    m = min(n, _LANE_VERTICES)
+    edge = np.zeros((n, n, len(weights)), np.uint64)
+    u, v = (a[: len(fixed)] for a in np.triu_indices(n, 1))
+    edge[u, v] = edge[v, u] = -fixed.astype(np.uint64)
+    for e, (u, v) in enumerate(combinations(range(n - m, n), 2)):
+        edge[u, v] = edge[v, u] = _LOW_EDGE_BITS[e]
+    lanes = evaluate_lanes(f, n, len(weights), np.uint64, lambda a, b: edge[:, :, a:b])
+    lanes &= np.uint64((1 << (1 << comb(m, 2))) - 1)
+    counts = np.unpackbits(lanes.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
+    return Fraction(sum(map(mul, weights, counts.tolist())), 1 << comb(n, 2))
 
 
 @dataclass

@@ -408,10 +408,10 @@ def _checked_plan(f: Formula, n: int, dtype) -> tuple[tuple, int, int]:
     return plan, width, lane_bytes
 
 
-def check_sentence(f: Formula, n: int) -> None:
-    """Raise LogicError where evaluate_batch would refuse f on n-vertex graphs,
-    before any graph exists."""
-    _checked_plan(f, n, np.bool_)
+def check_sentence(f: Formula, n: int, dtype=np.bool_) -> int:
+    """Raise LogicError where evaluate_lanes would refuse f on n vertices with
+    lanes of `dtype`, before any graph exists; else return its bytes per lane."""
+    return _checked_plan(f, n, dtype)[2]
 
 
 def evaluate_lanes(f: Formula, n: int, lanes: int, dtype, leaf: Callable[[int, int], np.ndarray]) -> np.ndarray:

@@ -165,8 +165,19 @@ def test_mu_exact(capsys):
     code, out, _ = run_cli(capsys, "mu", "--axiom", "0,1", "--exact", "--n", "3", "--p", "0.5")
     doc = json.loads(out)
     assert (doc["mu_num"], doc["mu_den"]) == (1, 2)
+    code, out, _ = run_cli(capsys, "mu", "--axiom", "0,1", "--exact", "--n", "3")
+    doc = json.loads(out)
+    assert code == 0 and (doc["mu_num"], doc["mu_den"]) == (1, 2) and doc["config"]["p"] == 0.5
     code, _, err = run_cli(capsys, "mu", "--axiom", "0,1", "--exact", "--n", "9", "--p", "0.5")
     assert code == 2
+    code, out, err = run_cli(capsys, "mu", "--builtin", "escape_3", "--exact", "--n", "8")
+    assert code == 2 and out == "" and "byte bound" in err
+
+
+def test_mu_exact_refuses_another_measure(capsys):
+    for flag, value in (("--p", "0.3"), ("--family", "1,0.5,0")):
+        code, out, err = run_cli(capsys, "mu", "--axiom", "0,1", "--exact", "--n", "3", flag, value)
+        assert code == 1 and out == "" and "usage error" in err and flag in err
 
 
 def test_mu_estimate_json(capsys):

@@ -24,7 +24,21 @@ from pursuitlab.experiments import (
 )
 from pursuitlab.games import ArenaBudgetError, Classic, Complementary, Tandem, Winner, game_value
 from pursuitlab.graphs import PFamily, gnp_sample
-from pursuitlab.logic import Edge, LogicError, empty_graph, escape_k, evaluate, extension_axiom, parse, to_text
+from pursuitlab.logic import (
+    Edge,
+    LogicError,
+    complementary_escape,
+    empty_graph,
+    escape_k,
+    evaluate,
+    evaluate_lanes,
+    extension_axiom,
+    isolated_vertices,
+    parse,
+    tandem_capture,
+    to_text,
+    trap_escape,
+)
 
 from conftest import all_graphs, eval_reference, random_sentence
 
@@ -45,7 +59,59 @@ def test_exact_mu_examples():
 
 def test_exact_mu_budget():
     with pytest.raises(ExperimentError):
-        exact_mu(empty_graph(), 8)
+        exact_mu(empty_graph(), 9)
+
+
+def test_exact_mu_refuses_too_much_work_before_evaluating(monkeypatch):
+    def no_evaluation(*args):
+        raise AssertionError("evaluated a sentence")
+
+    monkeypatch.setattr(experiments, "evaluate_lanes", no_evaluation)
+    with pytest.raises(ExperimentError, match="12480 lanes of 262144 bytes"):
+        exact_mu(escape_k(3), 8)
+    with pytest.raises(ExperimentError, match="536 lanes of 6588344 bytes"):
+        exact_mu(escape_k(5), 7)
+
+
+_LOW_EDGE_BITS = [sum(1 << b for b in range(64) if b >> e & 1) for e in range(6)]
+
+
+def mask_lanes(n, start, stop):
+    """Every labelled edge mask, 64 to a lane: mask 64*w+b is bit b of lane w."""
+    words = np.arange(start, stop, dtype=np.uint64)
+    edge = np.zeros((n, n, stop - start), np.uint64)
+    for e, (u, v) in enumerate(zip(*np.triu_indices(n, 1))):
+        edge[u, v] = edge[v, u] = _LOW_EDGE_BITS[e] if e < 6 else -((words >> np.uint64(e - 6)) & np.uint64(1))
+    return edge
+
+
+def labelled_mu(f, n):
+    total = 1 << math.comb(n, 2)
+    lanes = evaluate_lanes(f, n, -(-total // 64), np.uint64, lambda a, b: mask_lanes(n, a, b))
+    return Fraction(int(np.unpackbits(lanes.astype("<u8").view(np.uint8), count=total, bitorder="little").sum()), total)
+
+
+def test_exact_mu_matches_every_labelled_mask():
+    # n = 1..7 covers 0..3 fixed vertices before the last four share one lane.
+    rng = random.Random(1301)
+    formulas = [escape_k(1), escape_k(2), trap_escape(1, 1), complementary_escape(), tandem_capture(),
+                isolated_vertices(2), empty_graph()]
+    formulas += [extension_axiom(m, k) for k in (1, 2, 3) for m in range(k + 1)]
+    formulas += [random_sentence(rng, n_vars=rng.randint(1, 3), depth=rng.randint(1, 3)) for _ in range(10)]
+    for n in range(1, 8):
+        for f in formulas:
+            assert exact_mu(f, n) == labelled_mu(f, n), (n, to_text(f))
+
+
+def test_representative_weights_count_every_labelled_graph():
+    counts = []
+    for n in range(1, 9):
+        weights, fixed = experiments._representatives(n)
+        lane_masks = 1 << math.comb(min(n, 4), 2)
+        assert sum(weights) * lane_masks == 1 << math.comb(n, 2), n
+        assert fixed.shape == (math.comb(n, 2) - math.comb(min(n, 4), 2), len(weights))
+        counts.append(len(weights))
+    assert counts == [1, 1, 1, 1, 5, 40, 536, 12480]
 
 
 def test_exact_mu_matches_brute_force():
@@ -94,11 +160,23 @@ def test_verify_ea_bound_1_2_6():
     assert chk.holds
 
 
+def test_verify_ea_bound_0_1_8():
+    # Not EA(0,1) says some vertex is adjacent to all others: inclusion-exclusion over j such vertices.
+    chk = verify_ea_bound(0, 1, 8)
+    dominated = sum((-1) ** (j + 1) * Fraction(math.comb(8, j), 2 ** (math.comb(j, 2) + j * (8 - j)))
+                    for j in range(1, 9))
+    assert chk.exact == dominated == Fraction(15912975, 268435456)
+    assert chk.bound == Fraction(1, 16)
+    assert chk.holds
+
+
 def test_verify_ea_bound_validation():
     with pytest.raises(ExperimentError):
         verify_ea_bound(1, 4, 6)
     with pytest.raises(ExperimentError):
         verify_ea_bound(0, 1, 1)
+    with pytest.raises(ExperimentError):
+        verify_ea_bound(0, 1, 9)
 
 
 # ---------------------------------------------------------------- monte carlo
