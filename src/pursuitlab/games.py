@@ -207,11 +207,10 @@ class Arena:
     discovery order over successor lists generated in a fixed order.
     """
 
-    def __init__(self, g: Graph, v: Variant, states, index, succ, owner, capture):
+    def __init__(self, g: Graph, v: Variant, states, succ, owner, capture):
         self.graph = g
         self.variant = v
         self.states = states
-        self.index = index
         self.succ = succ
         self.owner = owner
         self.capture = capture
@@ -281,14 +280,14 @@ def _cop_moves(v: Variant, closed, choices, cops: tuple[int, ...], aux):
     # Each cop moves, then may toggle one choice at its new vertex.  Toggles
     # interact only through the stock: two of one item cancel, as keeping
     # does, and a net set of toggles has a legal order (pickups first)
-    # exactly when it ends with stock >= 0.  So thread them once, in cop
-    # order, let the stock dip below zero in between and filter at the end.
+    # exactly when it ends with stock >= 0.  So thread them once per
+    # multiset of new positions, let the stock dip below zero in between and
+    # filter at the end.
     results = set()
-    for joint in product(*(closed[c] for c in cops)):
+    for key in dict.fromkeys(tuple(sorted(joint)) for joint in product(*(closed[c] for c in cops))):
         auxes = {aux}
-        for c in joint:
+        for c in key:
             auxes = {nxt for items, stock in auxes for nxt in _toggles(items, stock, choices[c])}
-        key = tuple(sorted(joint))
         results.update((key, a) for a in auxes if a[1] >= 0)
     return sorted(results)
 
@@ -298,45 +297,75 @@ def build_arena(g: Graph, v: Variant, max_states: int = DEFAULT_MAX_STATES) -> A
 
     Raises ArenaBudgetError (leaving no partial arena behind) as soon as the
     reachable state set would exceed max_states.
+
+    A configuration is one (cops, aux) pair, numbered as first seen.  Each
+    configuration's joint cop moves, and each Roadblocks robber move list on
+    (r, blocked), are computed once per build.  States are interned under
+    the integer code (configuration * (n + 1) + r) * 2 + (robber to move),
+    with r = n for the robber-placement state, so a state tuple is built
+    only when the state is new.
     """
+    n = g.n
     robber_closed = _closed_lists(g)
     cop_closed = _closed_lists(complement(g)) if isinstance(v, Complementary) else robber_closed
     traps, blocks = isinstance(v, Traps), isinstance(v, Roadblocks)
     choices = None
     if traps:
-        choices = [(c,) for c in range(g.n)]
+        choices = [(c,) for c in range(n)]
     elif blocks:
-        choices = [tuple((min(c, x), max(c, x)) for x in sorted(g.neighbors(c))) for c in range(g.n)]
+        choices = [tuple((min(c, x), max(c, x)) for x in sorted(g.neighbors(c))) for c in range(n)]
+    stride = 2 * (n + 1)
+    config_index: dict[tuple, int] = {}
+    configs: list[tuple] = []
+    cop_memo: dict[int, list[int]] = {}
+    robber_memo: dict[tuple, list[int]] = {}
     states: list[tuple] = [("PC",)]
-    index: dict[tuple, int] = {("PC",): 0}
+    state_config = [-1]
+    index: dict[int, int] = {}
     succ: list[list[int]] = []
     owner: list[Owner] = []
     capture: list[bool] = []
 
-    def intern(st: tuple) -> int:
-        i = index.get(st)
-        if i is None:
-            i = len(states)
-            if i >= max_states:
-                raise ArenaBudgetError(i + 1, max_states)
-            index[st] = i
-            states.append(st)
+    def config(cops: tuple[int, ...], aux) -> int:
+        key = (cops, aux)
+        c = config_index.get(key)
+        if c is None:
+            c = config_index[key] = len(configs)
+            configs.append(key)
+        return c
+
+    def new_state(code: int) -> int:
+        i = len(states)
+        if i >= max_states:
+            raise ArenaBudgetError(i + 1, max_states)
+        c, rest = divmod(code, stride)
+        r, robber_turn = divmod(rest, 2)
+        cops, aux = configs[c]
+        index[code] = i
+        states.append(("PR", cops, aux) if r == n else ("R" if robber_turn else "C", cops, r, aux))
+        state_config.append(c)
         return i
+
+    def intern(codes: list[int]) -> list[int]:  # the codes of one list are distinct
+        out = [index.get(code) for code in codes]
+        if None in out:
+            out = [new_state(code) if i is None else i for code, i in zip(codes, out)]
+        return out
 
     head = 0
     while head < len(states):
         st = states[head]
         tag = st[0]
+        c = state_config[head]
         if tag == "PC":
             owner.append(Owner.COPS)
             capture.append(False)
             aux = _initial_aux(v)
-            succ.append([intern(("PR", cops, aux)) for cops in _placements(g, v)])
+            succ.append(intern([config(cops, aux) * stride + 2 * n for cops in _placements(g, v)]))
         elif tag == "PR":
             owner.append(Owner.ROBBER)
             capture.append(False)
-            cops, aux = st[1], st[2]
-            succ.append([intern(("C", cops, r, aux)) for r in range(g.n)])
+            succ.append(intern([c * stride + 2 * r for r in range(n)]))
         else:
             cops, r, aux = st[1:]
             owner.append(Owner.COPS if tag == "C" else Owner.ROBBER)
@@ -345,14 +374,20 @@ def build_arena(g: Graph, v: Variant, max_states: int = DEFAULT_MAX_STATES) -> A
             if caught:
                 succ.append([])
             elif tag == "C":
-                succ.append([intern(("R", c2, r, a2)) for c2, a2 in _cop_moves(v, cop_closed, choices, cops, aux)])
+                targets = cop_memo.get(c)
+                if targets is None:
+                    targets = cop_memo[c] = [config(*move) for move in _cop_moves(v, cop_closed, choices, cops, aux)]
+                succ.append(intern([c2 * stride + 2 * r + 1 for c2 in targets]))
             else:
                 moves = robber_closed[r]
                 if blocks:
-                    moves = [x for x in moves if (min(r, x), max(r, x)) not in aux[0]]
-                succ.append([intern(("C", cops, r2, aux)) for r2 in moves])
+                    key = (r, aux[0])
+                    moves = robber_memo.get(key)
+                    if moves is None:
+                        moves = robber_memo[key] = [x for x in robber_closed[r] if (min(r, x), max(r, x)) not in aux[0]]
+                succ.append(intern([c * stride + 2 * r2 for r2 in moves]))
         head += 1
-    return Arena(g, v, states, index, succ, owner, capture)
+    return Arena(g, v, states, succ, owner, capture)
 
 
 @dataclass
@@ -461,36 +496,34 @@ def is_dismantlable(g: Graph) -> bool:
 
     A vertex u is dominated when its closed neighborhood (inside the surviving
     set) is contained in another survivor's closed neighborhood; the graph is
-    dismantlable iff deletion reduces it to a single vertex.  A dominator of
-    u contains u in its closed neighborhood, so only u's surviving neighbors
-    are tried.
+    dismantlable iff deletion reduces it to a single vertex, in whatever
+    order dominated vertices are deleted.  A dominator of u is a surviving
+    neighbor that lies in N[x] for every surviving x in N[u].  The lowest
+    remaining candidate v is tried; when it fails, some x in N[u] misses v,
+    and the candidates are cut down to N[x], which drops v and every other
+    candidate that x misses.  Deleting u shrinks only its neighbors'
+    neighborhoods, so only they are checked again, and a survivor with no
+    surviving neighbor ends the search.
     """
     closed = [g.adjacency[v] | (1 << v) for v in range(g.n)]
-    active = (1 << g.n) - 1
+    active = pending = (1 << g.n) - 1
     active_count = g.n
-    while active_count > 1:
-        removed = False
-        m = active
-        while m:
-            bu = m & -m
-            m ^= bu
-            u = bu.bit_length() - 1
-            cu = closed[u] & active
-            mm = cu & ~bu
-            while mm:
-                bv = mm & -mm
-                mm ^= bv
-                v = bv.bit_length() - 1
-                if cu & ~closed[v] == 0:  # cu lies inside active already
-                    active ^= bu
-                    active_count -= 1
-                    removed = True
-                    break
-            if removed:
-                break
-        if not removed:
+    while pending and active_count > 1:
+        bu = pending & -pending
+        pending ^= bu
+        cu = closed[bu.bit_length() - 1] & active
+        cand = nbrs = cu ^ bu
+        if not nbrs:
             return False
-    return True
+        while cand:
+            miss = cu & ~closed[(cand & -cand).bit_length() - 1]
+            if not miss:  # cu lies inside active already
+                active ^= bu
+                active_count -= 1
+                pending |= nbrs
+                break
+            cand &= closed[(miss & -miss).bit_length() - 1]
+    return active_count <= 1
 
 
 # ---------------------------------------------------------------------------

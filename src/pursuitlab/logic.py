@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable, Union
 
 import numpy as np
@@ -314,6 +314,8 @@ _MAX_ARRAY_BYTES = 1 << 25
 # Lanes go through in sub-batches of about this many bytes per array: enough
 # to amortise numpy's per-call cost on small graphs, little memory on large.
 _BATCH_BYTES = 1 << 20
+# Plans of this many recently evaluated sentences are kept.
+_PLAN_CACHE_SIZE = 256
 
 
 def _parts(node: tuple) -> tuple:
@@ -390,17 +392,23 @@ def _array(node: tuple, axes: dict[str, int], rank: int, edge: np.ndarray, eye: 
     return acc
 
 
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _sentence_plan(f: Formula) -> tuple[tuple, int]:
+    """The plan of formula f and its width, built once per formula (formulas are frozen)."""
+    plan = _plan(f)
+    return plan, _width(plan)
+
+
 def _checked_plan(f: Formula, n: int, dtype) -> tuple[tuple, int, int]:
     """The plan of sentence f, its width and its bytes per lane of `dtype` at n.
 
     Raises LogicError when f has free variables, n < 1, or f is too wide at n.
     """
-    plan = _plan(f)
+    plan, width = _sentence_plan(f)
     if plan[1]:
         raise LogicError("evaluate requires a sentence; free variables: " + ", ".join(sorted(plan[1])))
     if n < 1:
         raise LogicError(f"need a universe of at least one vertex, got n={n}")
-    width = _width(plan)
     lane_bytes = n ** max(width, 2) * np.dtype(dtype).itemsize
     if width >= 32 or lane_bytes > _MAX_ARRAY_BYTES:
         raise LogicError(f"sentence is too wide to evaluate at n={n}: its widest subformula has {width} free "

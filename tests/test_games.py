@@ -301,6 +301,22 @@ def test_dismantlable_matches_any_survivor_reference():
     assert seen == {False, True}
 
 
+def test_dismantlable_matches_any_survivor_reference_on_large_and_dense_graphs():
+    rng = random.Random(23)
+    seen = set()
+    gs = [gnp_sample(n, p, rng.getrandbits(40)) for n, p, count in ((60, 0.5, 20), (300, 2.5 / 300, 1), (40, 0.95, 20))
+          for _ in range(count)]
+    for chords in (0, 0, 0, 3, 3, 3):  # trees, which dismantle leaf by leaf, some with chords added
+        edges = {(rng.randrange(i), i) for i in range(1, 60)}
+        edges |= {tuple(sorted(rng.sample(range(60), 2))) for _ in range(chords)}
+        gs.append(Graph(60, sorted(edges)))
+    for g in gs:
+        expected = _dismantlable_any_survivor(g)
+        seen.add(expected)
+        assert is_dismantlable(g) is expected
+    assert seen == {False, True}
+
+
 def test_solver_matches_dismantlable_on_all_5_vertex_graphs():
     gs = list(all_graphs(5))
     for g, w in zip(gs, game_values(gs, Classic(1))):
@@ -592,7 +608,7 @@ def _ref_arena(g, v):
             else:
                 succ.append([intern(("C", cops, r2, aux)) for r2 in _ref_robber_moves(g, v, r, aux)])
         head += 1
-    return Arena(g, v, states, index, succ, owner, capture)
+    return Arena(g, v, states, succ, owner, capture)
 
 
 PIN_VARIANTS = [
@@ -605,7 +621,7 @@ PIN_VARIANTS = [
 @pytest.mark.parametrize("v", PIN_VARIANTS, ids=str)
 def test_arena_matches_the_reference_move_rules(v):
     m = getattr(v, "m", 1)
-    n_max = {1: 7, 2: 6, 3: 4}[m]
+    n_max = {1: 8, 2: 6, 3: 4}[m]
     rng = random.Random(f"pin {v}")
     for i in range(6):
         n = 1 + i if i < 2 else rng.randint(3, n_max)
@@ -614,6 +630,16 @@ def test_arena_matches_the_reference_move_rules(v):
         assert (a.states, a.succ, a.owner, a.capture) == (ref.states, ref.succ, ref.owner, ref.capture)
         wa, wr = solve(a), solve(ref)
         assert (wa.winner, wa.cop_strategy, wa.robber_strategy) == (wr.winner, wr.cop_strategy, wr.robber_strategy)
+
+
+@pytest.mark.parametrize("v", PIN_VARIANTS, ids=str)
+def test_arena_budget_edge(v):
+    g = gnp_sample(5, 0.5, 2020)
+    size = build_arena(g, v).state_count
+    assert build_arena(g, v, max_states=size).state_count == size
+    with pytest.raises(ArenaBudgetError) as err:
+        build_arena(g, v, max_states=size - 1)
+    assert (err.value.estimate, err.value.max_states) == (size, size - 1)
 
 
 def test_unused_stock_is_classic_and_more_stock_never_hurts_the_cops():

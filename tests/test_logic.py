@@ -144,6 +144,24 @@ def test_evaluate_refuses_too_wide_sentence_before_allocating():
     assert peak < 1 << 20
 
 
+def test_each_sentence_is_planned_once(monkeypatch):
+    sentences = [escape_k(1), trap_escape(1, 1), tandem_capture()]
+    plan, calls = L._plan, {}
+
+    def counted(f, negated=False):
+        calls[f] = calls.get(f, 0) + 1
+        return plan(f, negated)
+
+    monkeypatch.setattr(L, "_plan", counted)
+    L._sentence_plan.cache_clear()
+    graphs = [gnp_sample(n, 0.5, n) for n in (4, 7, 9)]
+    expected = [[eval_reference(f, g) for g in graphs] for f in sentences]
+    for _ in range(3):
+        assert [[evaluate(f, g) for g in graphs] for f in sentences] == expected
+        assert [evaluate_batch(f, graphs[1:2] * 2) for f in sentences] == [[e[1]] * 2 for e in expected]
+    assert [calls[f] for f in sentences] == [1, 1, 1]
+
+
 def test_evaluate_batch_needs_one_size():
     assert evaluate_batch(empty_graph(), []) == []
     with pytest.raises(LogicError, match="one size"):
