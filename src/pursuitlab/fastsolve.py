@@ -10,12 +10,13 @@ explicit worklist solver computes:
 with capture states seeding both sides.  Cops win iff some legal placement
 configuration ends up with a full CT row.  Four engines compute it:
 
-  * `winners` solves a batch of single-cop games (Classic(1), Complementary)
-    on graphs of one size as one fixed point over float32 (B, n, n) 0/1
-    matrices indexed [graph, cop, robber], both half-steps matrix products;
-  * `winner` on one single-cop game keeps one big-int robber set per cop
-    vertex: at n = 6 a one-graph batch costs about four times this loop,
-    and many callers solve one graph at a time;
+  * single-cop games (Classic(1), Complementary) have two engines, and
+    `_single_cop` alone picks one, from the input: a call on one graph with
+    n <= _LOOP_MAX_N keeps one big-int robber set per cop vertex, and every
+    other call, from `winner` or `winners`, runs one fixed point over
+    float32 (B, n, n) 0/1 matrices indexed [graph, cop, robber], both
+    half-steps matrix products.  The loop costs least on one small graph;
+    the batch on larger graphs and on many graphs at once;
   * Classic(k >= 2), Tandem and Traps(1,t) share one kernel, `_fixpoint`,
     over a tensor of configurations whose robber sets are packed into uint64
     words.  Each variant supplies per-axis row tables for its capture rows
@@ -48,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .games import Classic, Complementary, GameError, Tandem, Traps, Variant, Winner
-from .graphs import Graph, _bits_to_list, adjacency_array, complement, one_size
+from .graphs import Graph, _bits_to_list, adjacency_array, one_size
 
 __all__ = ["winner", "winners"]
 
@@ -56,15 +57,29 @@ __all__ = ["winner", "winners"]
 # bytes, and at least one graph.  1 MiB ran n <= 60 up to 30% faster, but
 # raised the peak RSS of Monte Carlo rows at N = 200..300 from 37.9 to 41.2 MB.
 _BATCH_BYTES = 1 << 18
+# A single-cop game on one graph with at most this many vertices runs the
+# big-int loop; bigger graphs, and every call with two or more, run the
+# matrix batch.  One-graph calls, us per graph, loop / batch, mean over 100
+# G(n, p) at each p in {0.2, 0.5, 0.8}, best of 5 (2 cores, Python 3.11,
+# numpy 2.4; runs differ by up to 20%):
+#
+#   n               6        12       14       15       16       17        20
+#   Classic(1)      13 / 51  51 / 69  79 / 95  86 / 79  87 / 73  112 / 75  115 / 68
+#   Complementary   10 / 43  32 / 50  56 / 73  45 / 46  52 / 58   59 / 57   61 / 44
+#
+# A 300-graph batch at n = 6 costs about 5 us per graph, so the graph count
+# decides as well as n.
+_LOOP_MAX_N = 15
 
 
-def _closed_masks(g: Graph) -> list[int]:
-    return [g.adjacency[v] | (1 << v) for v in range(g.n)]
-
-
-def _single_cop_winner(cop_closed: list[int], robber_closed: list[int], n: int) -> Winner:
-    """Classic one-cop game; cop and robber adjacency may differ."""
+def _single_cop_loop(g: Graph, complementary: bool) -> Winner:
+    """The single-cop fixed point on one graph, one big-int robber set per cop
+    vertex.  The cop moves in the complement when complementary; a vertex's
+    closed neighbourhood there is every vertex it is not adjacent to."""
+    n = g.n
     full = (1 << n) - 1
+    robber_closed = [a | (1 << v) for v, a in enumerate(g.adjacency)]
+    cop_closed = [full ^ a for a in g.adjacency] if complementary else robber_closed
     occ = [1 << c for c in range(n)]
     cop_moves = [_bits_to_list(cop_closed[c]) for c in range(n)]
     rt = occ[:]
@@ -134,18 +149,30 @@ def _single_cop_batch(graphs: Sequence[Graph], n: int, complementary: bool) -> l
     return out
 
 
-def winners(graphs: Sequence[Graph], v: Variant) -> list[Winner | None]:
-    """`winner` for each graph; all graphs share one n.  Classic(1) and
-    Complementary run through the batch engine, in sub-batches of at most
-    _BATCH_BYTES per array; other variants go one graph at a time."""
-    n = one_size(graphs, GameError)
-    if not (isinstance(v, Classic) and v.k == 1 or isinstance(v, Complementary)):
-        return [winner(g, v) for g in graphs]
+def _single_cop(graphs: Sequence[Graph], n: int, complementary: bool) -> list[Winner]:
+    """Single-cop winners of n-vertex graphs.  The only place that picks the
+    engine: one graph at n <= _LOOP_MAX_N runs the big-int loop, anything
+    else the matrix batch, in sub-batches of at most _BATCH_BYTES per array."""
+    if len(graphs) == 1 and n <= _LOOP_MAX_N:
+        return [_single_cop_loop(graphs[0], complementary)]
     step = max(1, _BATCH_BYTES // (4 * n * n))
     out: list = []
     for start in range(0, len(graphs), step):
-        out += _single_cop_batch(graphs[start : start + step], n, isinstance(v, Complementary))
+        out += _single_cop_batch(graphs[start : start + step], n, complementary)
     return out
+
+
+def _is_single_cop(v: Variant) -> bool:
+    return isinstance(v, Classic) and v.k == 1 or isinstance(v, Complementary)
+
+
+def winners(graphs: Sequence[Graph], v: Variant) -> list[Winner | None]:
+    """`winner` for each graph; all graphs share one n.  Single-cop games
+    are solved together; other variants go one graph at a time."""
+    n = one_size(graphs, GameError)
+    if not _is_single_cop(v):
+        return [winner(g, v) for g in graphs]
+    return _single_cop(graphs, n, isinstance(v, Complementary))
 
 
 def _pack(rows: np.ndarray) -> np.ndarray:
@@ -267,11 +294,8 @@ def _trap_sets(n: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def winner(g: Graph, v: Variant) -> Winner | None:
     """Winner for the supported variants, or None when unsupported."""
     n = g.n
-    if isinstance(v, Classic) and v.k == 1:
-        masks = _closed_masks(g)
-        return _single_cop_winner(masks, masks, n)
-    if isinstance(v, Complementary):
-        return _single_cop_winner(_closed_masks(complement(g)), _closed_masks(g), n)
+    if _is_single_cop(v):
+        return _single_cop([g], n, isinstance(v, Complementary))[0]
     eye = np.eye(n, dtype=bool)
     closed = adjacency_array([g], n)[0] | eye
     nmask = _pack(closed)

@@ -470,9 +470,10 @@ def _arena_value(g: Graph, v: Variant, max_states: int) -> Winner:
 def game_values(graphs: Sequence[Graph], v: Variant, max_states: int = DEFAULT_MAX_STATES) -> list[Winner]:
     """`game_value` of each graph, in order; all graphs share one n.
 
-    The budget is checked once.  Classic(1) and Complementary run as one
-    batched fixed point (`fastsolve.winners`); other variants go one graph at
-    a time, through the same backends as `game_value`.
+    The budget is checked once.  Classic(1) and Complementary graphs go to
+    the single-cop engine together (`fastsolve.winners`), which solves two or
+    more as one batch; other variants go one graph at a time, through the
+    same backends as `game_value`.
     """
     check_budget(one_size(graphs, GameError), v, max_states)
     from . import fastsolve

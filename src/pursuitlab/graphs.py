@@ -146,6 +146,10 @@ class PFamily:
 
 # Pairs whose coins are drawn by one getrandbits call (32 KiB of words).
 _DRAW_PAIRS = 4096
+# gnp_sample refuses an n whose working arrays (the pair draws, the
+# _upper_triangle mask and the adjacency, about 3 n^2 bytes) would pass this
+# many bytes: n <= 4729 is served.
+_SAMPLE_BYTES = 1 << 26
 
 
 # Samples come in runs of one n (a Monte Carlo row, its checks), so one slot
@@ -174,6 +178,9 @@ def gnp_sample(n: int, p: float, seed: int) -> Graph:
         raise GraphError(f"edge probability must lie in [0,1], got {p}")
     if n < 1:
         raise GraphError(f"need n >= 1, got {n}")
+    if 3 * n * n > _SAMPLE_BYTES:
+        raise GraphError(f"n = {n} is too large: its working arrays would take about {3 * n * n} bytes, "
+                         f"over the {_SAMPLE_BYTES}-byte bound")
     rng = random.Random(seed)
     if p >= 1.0:
         full = (1 << n) - 1
@@ -421,10 +428,10 @@ def read_edge_list(text: str) -> Graph:
         raise GraphError(f"bad header line {lines[0]!r}") from exc
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = map(int, ln.split())  # a wrong count or a non-integer raises ValueError
+        except ValueError as exc:
+            raise GraphError(f"bad edge line {ln!r}") from exc
         if not u < v:
             raise GraphError(f"edge lines must have u < v, got {ln!r}")
         edges.append((u, v))

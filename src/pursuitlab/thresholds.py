@@ -112,31 +112,29 @@ def is_grounded(rg: RootedGraph) -> bool:
     return any((u in rg.roots) != (v in rg.roots) for u, v in rg.graph.edges())
 
 
-def _dens_candidates(rg: RootedGraph, convention: str) -> list[tuple[RootedGraph, Fraction]]:
+def _densest(rg: RootedGraph, convention: str) -> tuple[Fraction, list[RootedGraph]]:
+    """The maximal density over subextensions, and the subextensions that
+    achieve it, from one enumeration."""
+    _check_convention(convention)
     subs = subextensions(rg)
     if convention == NONROOT:
         # The roots-only subextension has no denominator under this convention.
         subs = [s for s in subs if s.graph.n > len(s.roots)]
-    return [(s, dens(s, convention)) for s in subs]
+    if not subs:
+        raise ThresholdError("no subextension with non-root vertices")
+    cands = [(s, dens(s, convention)) for s in subs]
+    best = max(d for _, d in cands)
+    return best, [s for s, d in cands if d == best]
 
 
 def mad(rg: RootedGraph, convention: str = PAPER) -> Fraction:
     """Maximal average degree: max density over subextensions."""
-    _check_convention(convention)
-    cands = _dens_candidates(rg, convention)
-    if not cands:
-        raise ThresholdError("no subextension with non-root vertices")
-    return max(d for _, d in cands)
+    return _densest(rg, convention)[0]
 
 
 def primal_subextensions(rg: RootedGraph, convention: str = PAPER) -> list[RootedGraph]:
     """Subextensions achieving the maximal density."""
-    _check_convention(convention)
-    cands = _dens_candidates(rg, convention)
-    if not cands:
-        raise ThresholdError("no subextension with non-root vertices")
-    best = max(d for _, d in cands)
-    return [s for s, d in cands if d == best]
+    return _densest(rg, convention)[1]
 
 
 @dataclass(frozen=True)
@@ -181,10 +179,10 @@ def threshold(rg: RootedGraph, convention: str = PAPER) -> ThresholdFn:
     _check_convention(convention)
     if rg.graph.n == len(rg.roots):
         raise ThresholdError("threshold needs at least one non-root vertex")
-    m = mad(rg, convention)
+    m, primal = _densest(rg, convention)
     if m <= 0:
         raise ThresholdError("no non-root structure: mad is zero")
-    grounded_primal = [s for s in primal_subextensions(rg, convention) if is_grounded(s)]
+    grounded_primal = [s for s in primal if is_grounded(s)]
     if grounded_primal:
         s_min = min(s.extension_edge_count() for s in grounded_primal)
         log_exp = Fraction(1, s_min)

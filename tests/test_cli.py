@@ -76,6 +76,8 @@ def test_gen_usage_errors(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "gen", "--n", "5", "--p", "1.5")
     assert code == 2  # domain error
+    code, out, err = run_cli(capsys, "gen", "--n", "2000000", "--p", "0.5")
+    assert code == 2 and out == "" and err.startswith("error: n = 2000000 is too large") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------- solve
@@ -114,6 +116,16 @@ def test_solve_from_file(tmp_path, capsys):
     p.write_text("n 4\n0 1\n0 3\n1 2\n2 3\n")
     code, out, _ = run_cli(capsys, "solve", "--graph", str(p), "--variant", "classic", "--k", "1")
     assert json.loads(out)["winner"] == "Robber"
+
+
+def test_non_integer_vertex_is_domain_exit(tmp_path, capsys):
+    graph = tmp_path / "bad.edges"
+    graph.write_text("n 4\n0 x\n")
+    rooted = tmp_path / "bad.rooted"
+    rooted.write_text("n 4\n0 x\nroots 0\n")
+    for argv in (("solve", "--graph", str(graph)), ("threshold", "--rooted", str(rooted))):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err == "error: bad edge line '0 x'\n", argv
 
 
 def test_solve_budget_exit_code(capsys):

@@ -215,14 +215,40 @@ def test_byte_table_robber_step_matches_its_definition():
 
 
 def test_batch_and_single_graph_engines_agree():
+    """The matrix batch against the big-int loop, graph by graph, whichever
+    engine `winner` and `winners` would pick for these inputs."""
     batches = [list(all_graphs(6))]  # all 32768 six-vertex graphs in one call
     batches += [list(all_graphs(n)) for n in range(1, 5)]
     # Adjacency rows of 63..65 and 130 vertices end on either side of a 64-bit word.
     batches += [[gnp_sample(n, p, seed) for seed in range(3)] for n in (63, 64, 65, 130) for p in (0.1, 0.5, 0.9)]
-    for v in (Classic(1), Complementary()):
+    # One graph changes engine between n = _LOOP_MAX_N and the next n.
+    cross = fastsolve._LOOP_MAX_N
+    batches += [[gnp_sample(n, p, seed) for p in (0.2, 0.5, 0.8) for seed in range(10)] for n in (cross - 1, cross, cross + 1)]
+    for complementary in (False, True):
         for gs in batches:
-            assert fastsolve.winners(gs, v) == [fastsolve.winner(g, v) for g in gs]
+            loop = [fastsolve._single_cop_loop(g, complementary) for g in gs]
+            assert fastsolve._single_cop_batch(gs, gs[0].n, complementary) == loop
     assert fastsolve.winners([], Classic(1)) == [] and game_values([], Complementary()) == []
+
+
+def test_single_cop_engine_is_chosen_by_graph_count_and_n(monkeypatch):
+    calls = []
+    for name in ("_single_cop_loop", "_single_cop_batch"):
+        engine = getattr(fastsolve, name)
+        monkeypatch.setattr(fastsolve, name, lambda *a, _name=name, _engine=engine: calls.append(_name) or _engine(*a))
+    cross = fastsolve._LOOP_MAX_N
+    one_at, one_above = gnp_sample(cross, 0.5, 1), gnp_sample(cross + 1, 0.5, 1)
+    two_small = [gnp_sample(6, 0.5, seed) for seed in range(2)]
+    for v in (Classic(1), Complementary()):
+        for g, engine in ((one_at, "_single_cop_loop"), (one_above, "_single_cop_batch")):
+            for solve_one in (fastsolve.winner, game_value, lambda g, v: fastsolve.winners([g], v)):
+                calls.clear()
+                solve_one(g, v)
+                assert calls == [engine], (g.n, v)
+        for solve_all in (fastsolve.winners, game_values):
+            calls.clear()
+            solve_all(two_small, v)
+            assert calls == ["_single_cop_batch"], v
 
 
 def test_batch_needs_graphs_of_one_size():

@@ -3,11 +3,13 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import pursuitlab
+from pursuitlab import graphs
 from pursuitlab.graphs import (
     Graph,
     GraphError,
@@ -98,6 +100,22 @@ def test_gnp_sample_does_not_import_numpy_random():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_gnp_refuses_oversized_n_before_allocating():
+    tracemalloc.start()
+    try:
+        for p in (0.0, 0.5, 1.0):
+            with pytest.raises(GraphError, match="too large"):
+                gnp_sample(2_000_000, p, 0)  # about 12 TB of working arrays
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    largest = math.isqrt(graphs._SAMPLE_BYTES // 3)
+    assert gnp_sample(largest, 0.0, 0).n == largest
+    with pytest.raises(GraphError, match="too large"):
+        gnp_sample(largest + 1, 0.0, 0)
 
 
 def test_gnpn_sparse_family_mostly_empty():
@@ -232,6 +250,8 @@ def test_edge_list_rejects_malformed():
         read_edge_list("n 4\n1 0\n")  # u >= v
     with pytest.raises(GraphError):
         read_edge_list("n 4\n0 2\n0 1\n")  # unsorted
+    with pytest.raises(GraphError, match="bad edge line '0 x'"):
+        read_edge_list("n 4\n0 x\n")
 
 
 def test_dot_export():
