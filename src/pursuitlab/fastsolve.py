@@ -8,40 +8,55 @@ explicit worklist solver computes:
     RT[cfg] = occupied[cfg] | { r : closed_nbhd(r) subset of CT[cfg] }
 
 with capture states seeding both sides.  Cops win iff some legal placement
-configuration ends up with a full CT row.  Four engines compute it:
+configuration ends up with a full CT row.  `_engine` alone picks one of
+three engines for it, from the variant, the number of graphs in the call
+and n:
 
-  * single-cop games (Classic(1), Complementary) have two engines, and
-    `_single_cop` alone picks one, from the input: a call on one graph with
-    n <= _LOOP_MAX_N keeps one big-int robber set per cop vertex, and every
-    other call, from `winner` or `winners`, runs one fixed point over
-    float32 (B, n, n) 0/1 matrices indexed [graph, cop, robber], both
-    half-steps matrix products.  The loop costs least on one small graph;
-    the batch on larger graphs and on many graphs at once;
-  * Classic(k >= 2), Tandem and Traps(1,t) share one kernel, `_fixpoint`,
-    over a tensor of configurations whose robber sets are packed into uint64
-    words.  Each variant supplies per-axis row tables for its capture rows
-    and for its first cop step CT0 in closed form (Classic(k): the OR of k
-    closed neighbourhoods; Tandem: the lead's closed 2-ball, one boolean
-    matrix product; Traps(1,t): N[c] | sites), its legal placements, and a
-    general cop step built from `_nbhd_or`.  CT0 decides a cop win when one
-    move from some legal placement reaches every vertex; for Classic(k) that
-    is a dominating k-set, which G(60, 1/2) almost always has for k = 3 (its
-    domination number is about log2 n - log2 log2 n; Wieland and Godbole,
-    2001).  Otherwise the loop starts from CT0, and `_nbhd_or` runs only in
-    rounds >= 2.  The robber step is a table lookup: r is trapped iff N[r]
-    lies inside CT, so (closed neighbourhoods being symmetric) the trapped
-    set is the AND of ~N[x] over the x outside CT, read byte by byte of CT
-    from a per-graph table of those ANDs, the "Four Russians" method
-    (Arlazarov, Dinic, Kronrod and Faradzev, 1970);
-  * Traps(m >= 2) and Roadblocks are left to the explicit arena
-    (`winner` returns None).
+  * the big-int engine, `_int_fixpoint`, keeps one Python int of robber
+    vertices per configuration in a flat list.  It takes Classic(1),
+    Complementary, Classic(2) and Tandem, one graph at a time, up to each
+    variant's crossover n (`_INT_MAX_N`; Tandem has none).  Each variant
+    gives its first cop step CT0 in closed form, which decides a cop win
+    before anything else is built, and its cop moves as masks over the
+    configurations.  Tandem is solved over the lead's vertex alone: the
+    second cop may stand anywhere in N[lead] after every move, so the lead
+    decides the cop step, and a round costs O(n * degree) int operations.
+    Rounds are semi-naive: only rows of CT that changed are trapped again,
+    and only configurations whose trapped set grew push it on;
+  * the matrix batch, `_single_cop_batch`, runs the single-cop fixed point
+    on graphs of one n together, over float32 (B, n, n) 0/1 matrices
+    indexed [graph, cop, robber], both half-steps matrix products.  It takes
+    every single-cop call on two or more graphs, and one graph past the
+    crossover;
+  * the packed kernel, `_fixpoint`, takes Classic(k >= 3), Classic(2) past
+    its crossover and Traps(1,t), over a tensor of configurations whose
+    robber sets are packed into uint64 words.  Each variant supplies per-axis
+    row tables for its capture rows and for its first cop step CT0 in closed
+    form (Classic(k): the OR of k closed neighbourhoods; Traps(1,t):
+    N[c] | sites), its legal placements, and a general cop step built from
+    `_nbhd_or`.  CT0 decides a cop win when one move from some legal
+    placement reaches every vertex; for Classic(k) that is a dominating
+    k-set, which G(60, 1/2) almost always has for k = 3 (its domination
+    number is about log2 n - log2 log2 n; Wieland and Godbole, 2001).
+    Otherwise the loop starts from CT0, and `_nbhd_or` runs only in rounds
+    >= 2.
 
-Agreement with the explicit arena solver, and of the batch engine with the
-big-int one, is enforced by the test suite.
+Both the big-int engine and the kernel find the trapped set the same way:
+r is trapped iff N[r] lies inside CT, so (closed neighbourhoods being
+symmetric) it is the AND of ~N[x] over the x outside CT.  The big-int engine
+folds it over the missing vertices and stops at an empty set; the kernel
+reads it byte by byte of CT from a per-graph table of those ANDs, the "Four
+Russians" method (Arlazarov, Dinic, Kronrod and Faradzev, 1970).
+Traps(m >= 2) and Roadblocks are left to the explicit arena (`winner`
+returns None).
+
+Agreement with the explicit arena solver, and of the engines with each
+other, is enforced by the test suite.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Sequence
@@ -57,52 +72,122 @@ __all__ = ["winner", "winners"]
 # bytes, and at least one graph.  1 MiB ran n <= 60 up to 30% faster, but
 # raised the peak RSS of Monte Carlo rows at N = 200..300 from 37.9 to 41.2 MB.
 _BATCH_BYTES = 1 << 18
-# A single-cop game on one graph with at most this many vertices runs the
-# big-int loop; bigger graphs, and every call with two or more, run the
-# matrix batch.  One-graph calls, us per graph, loop / batch, mean over 100
-# G(n, p) at each p in {0.2, 0.5, 0.8}, best of 5 (2 cores, Python 3.11,
-# numpy 2.4; runs differ by up to 20%):
+# One graph with at most _INT_MAX_N[v] vertices runs the big-int engine; a
+# bigger one runs the matrix batch (one cop) or the packed kernel
+# (Classic(2)).  One-graph calls, us per graph, big-int / other engine, mean
+# over 40 G(n, p) at each p in {0.2, 0.5, 0.8}, engines interleaved, best of
+# 5 (2 cores, Python 3.11, numpy 2.4; one engine reads up to 2x apart
+# between runs, so only the ratios are stable):
 #
-#   n               6        12       14       15       16       17        20
-#   Classic(1)      13 / 51  51 / 69  79 / 95  86 / 79  87 / 73  112 / 75  115 / 68
-#   Complementary   10 / 43  32 / 50  56 / 73  45 / 46  52 / 58   59 / 57   61 / 44
+#   Classic(1)     n = 6: 7 / 71    12: 33 / 107   20: 98 / 121    23: 126 / 135   24: 95 / 94     30: 174 / 67
+#   Complementary  n = 6: 6 / 59    20: 17 / 56    30: 27 / 56     38: 56 / 59     40: 61 / 60     60: 170 / 78
+#   Classic(2)     n = 6: 16 / 63    8: 43 / 107    9: 73 / 95     10: 130 / 138   11: 231 / 250   12: 269 / 186
+#   Tandem         n = 6: 4 / 81    12: 12 / 180   30: 22 / 330    60: 19 / 1125  100: 20 / 2850  150: 26 / 7132
 #
-# A 300-graph batch at n = 6 costs about 5 us per graph, so the graph count
-# decides as well as n.
-_LOOP_MAX_N = 15
+# Tandem has no crossover: the kernel, over ordered cop pairs, also lost on
+# sparse G(n, c/n), c in {1, 2, 4, 8}, by 3x to 20x at n = 12..200 (the
+# default budget admits n <= 171).  Two or more single-cop graphs run the
+# batch: per graph it costs less from about 10 graphs on (100 graphs at
+# n = 6: 4.2 against 7.6 us).
+_INT_MAX_N = {Classic(1): 23, Complementary(): 38, Classic(2): 10, Tandem(): math.inf}
 
 
-def _single_cop_loop(g: Graph, complementary: bool) -> Winner:
-    """The single-cop fixed point on one graph, one big-int robber set per cop
-    vertex.  The cop moves in the complement when complementary; a vertex's
-    closed neighbourhood there is every vertex it is not adjacent to."""
+def _int_fixpoint(ct: list[int], moves: list[int], notn: list[int], full: int) -> Winner:
+    """Least fixed point over a flat list of cop configurations, one Python
+    int of robber vertices per configuration:
+
+        T[x]  = { r : N[r] inside CT[x] }
+        CT[c] = CT0[c] | OR of T[x] over the configurations x in moves[c]
+
+    ct holds CT0, the first cop step in closed form (the robber vertices one
+    cop move from c captures on), which the caller has found to have no full
+    row.  moves[c] is a mask over configurations, and symmetric: x is in
+    moves[c] iff c is in moves[x].  Both sides only grow, so evaluation is
+    semi-naive: only rows of CT that changed are trapped again, and only
+    configurations whose T grew push it to the rows that move to them.  The trapped set is the AND of notn[y] = ~N[y] over
+    the y outside the CT row, cut short once it is empty.  Every
+    configuration is a legal placement, so the first full row is a cop win,
+    and a round in which no T grows is a robber win.
+    """
+    ct = list(ct)
+    trapped = [0] * len(ct)
+    dirty = range(len(ct))
+    while True:
+        grown = []
+        for x in dirty:
+            row = ct[x]
+            t = row
+            m = full ^ row
+            while m and t:
+                b = m & -m
+                t &= notn[b.bit_length() - 1]
+                m ^= b
+            if t != trapped[x]:
+                trapped[x] = t
+                grown.append(x)
+        if not grown:
+            return Winner.ROBBER
+        dirty = set()
+        for x in grown:
+            t = trapped[x]
+            m = moves[x]
+            while m:
+                b = m & -m
+                c = b.bit_length() - 1
+                m ^= b
+                old = ct[c]
+                u = old | t
+                if u != old:
+                    if u == full:
+                        return Winner.COP
+                    ct[c] = u
+                    dirty.add(c)
+
+
+def _int_winner(g: Graph, v: Variant) -> Winner:
+    """The big-int engine on one graph.  Each variant gives its
+    configurations' first cop step CT0 in closed form, checked for a full
+    row before anything else is built, and their moves:
+
+      * one cop (Classic(1), Complementary): configuration c is the cop's
+        vertex; CT0[c] and moves[c] are its closed neighbourhood, in the
+        complement when complementary (every vertex c is not adjacent to);
+      * Classic(2): ordered pairs (a, b) at bit a * n + b, moving to
+        N[a] x N[b] (N[b] repeated at the offsets a' * n of a' in N[a]);
+        CT0 is N[a] | N[b];
+      * Tandem: the cop step depends only on the lead, and the second cop
+        may then stand anywhere in N[lead], so configuration x is the lead's
+        vertex after a move.  From there the cops capture on N[x] (the second
+        cop takes that vertex) and trap T[x].  CT0 is the lead's closed
+        2-ball, and moves[x] is N[x].
+    """
     n = g.n
     full = (1 << n) - 1
-    robber_closed = [a | (1 << v) for v, a in enumerate(g.adjacency)]
-    cop_closed = [full ^ a for a in g.adjacency] if complementary else robber_closed
-    occ = [1 << c for c in range(n)]
-    cop_moves = [_bits_to_list(cop_closed[c]) for c in range(n)]
-    rt = occ[:]
-    while True:
+    closed = [a | 1 << x for x, a in enumerate(g.adjacency)]
+    if isinstance(v, Tandem):
         ct = []
-        for c in range(n):
-            u = occ[c]
-            for c2 in cop_moves[c]:
-                u |= rt[c2]
+        for c in closed:
+            u = 0
+            while c:
+                b = c & -c
+                u |= closed[b.bit_length() - 1]
+                c ^= b
+            if u == full:
+                return Winner.COP
             ct.append(u)
-        if any(row == full for row in ct):
+        moves = closed
+    elif isinstance(v, Classic) and v.k == 2:
+        ct = [a | b for a in closed for b in closed]
+        if full in ct:
             return Winner.COP
-        new_rt = []
-        for c in range(n):
-            row = ct[c]
-            m = occ[c]
-            for r in range(n):
-                if robber_closed[r] & ~row == 0:
-                    m |= 1 << r
-            new_rt.append(m)
-        if new_rt == rt:
-            return Winner.ROBBER
-        rt = new_rt
+        offsets = [sum(1 << a * n for a in _bits_to_list(c)) for c in closed]
+        moves = [s * b for s in offsets for b in closed]  # the blocks of n bits do not overlap
+    else:
+        ct = [full ^ a for a in g.adjacency] if isinstance(v, Complementary) else closed
+        if full in ct:
+            return Winner.COP
+        moves = ct
+    return _int_fixpoint(ct, moves, [full ^ c for c in closed], full)
 
 
 def _single_cop_batch(graphs: Sequence[Graph], n: int, complementary: bool) -> list[Winner]:
@@ -149,30 +234,11 @@ def _single_cop_batch(graphs: Sequence[Graph], n: int, complementary: bool) -> l
     return out
 
 
-def _single_cop(graphs: Sequence[Graph], n: int, complementary: bool) -> list[Winner]:
-    """Single-cop winners of n-vertex graphs.  The only place that picks the
-    engine: one graph at n <= _LOOP_MAX_N runs the big-int loop, anything
-    else the matrix batch, in sub-batches of at most _BATCH_BYTES per array."""
-    if len(graphs) == 1 and n <= _LOOP_MAX_N:
-        return [_single_cop_loop(graphs[0], complementary)]
+def _single_cop_batches(graphs: Sequence[Graph], n: int, v: Variant) -> list[Winner]:
+    """`_single_cop_batch` in sub-batches of at most _BATCH_BYTES per array."""
     step = max(1, _BATCH_BYTES // (4 * n * n))
-    out: list = []
-    for start in range(0, len(graphs), step):
-        out += _single_cop_batch(graphs[start : start + step], n, complementary)
-    return out
-
-
-def _is_single_cop(v: Variant) -> bool:
-    return isinstance(v, Classic) and v.k == 1 or isinstance(v, Complementary)
-
-
-def winners(graphs: Sequence[Graph], v: Variant) -> list[Winner | None]:
-    """`winner` for each graph; all graphs share one n.  Single-cop games
-    are solved together; other variants go one graph at a time."""
-    n = one_size(graphs, GameError)
-    if not _is_single_cop(v):
-        return [winner(g, v) for g in graphs]
-    return _single_cop(graphs, n, isinstance(v, Complementary))
+    complementary = isinstance(v, Complementary)
+    return [w for i in range(0, len(graphs), step) for w in _single_cop_batch(graphs[i : i + step], n, complementary)]
 
 
 def _pack(rows: np.ndarray) -> np.ndarray:
@@ -291,11 +357,9 @@ def _trap_sets(n: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, add, rem
 
 
-def winner(g: Graph, v: Variant) -> Winner | None:
-    """Winner for the supported variants, or None when unsupported."""
+def _kernel_winner(g: Graph, v: Variant) -> Winner | None:
+    """The packed kernel on one graph: Classic(k) and Traps(1,t), else None."""
     n = g.n
-    if _is_single_cop(v):
-        return _single_cop([g], n, isinstance(v, Complementary))[0]
     eye = np.eye(n, dtype=bool)
     closed = adjacency_array([g], n)[0] | eye
     nmask = _pack(closed)
@@ -309,20 +373,6 @@ def winner(g: Graph, v: Variant) -> Winner | None:
             return rt
 
         return _fixpoint(closed, nmask, [bits] * k, [nmask] * k, ..., classic_step)
-    if isinstance(v, Tandem):
-        # The lead moves inside its closed neighbourhood, then the second cop
-        # anywhere in N[lead]: OR over the second axis, read on the diagonal.
-        # Legal placements are equal or adjacent pairs, and the first cop step
-        # reaches the lead's closed 2-ball.
-        diag = np.arange(n)
-        return _fixpoint(
-            closed,
-            nmask,
-            [bits, bits],
-            [_pack(closed @ closed), bits],
-            closed,
-            lambda rt, nb: _nbhd_or(_nbhd_or(rt, 1, nb)[diag, diag], 0, nb)[:, None].repeat(n, axis=1),
-        )
     if isinstance(v, Traps) and v.m == 1:
         sites, add, rem = _trap_sets(n, v.t)
         sites = _pack(sites)
@@ -336,3 +386,32 @@ def winner(g: Graph, v: Variant) -> Winner | None:
             lambda rt, nb: _nbhd_or(rt | rt[cop, add] | rt[cop, rem], 0, nb),
         )
     return None
+
+
+def _engine(v: Variant, count: int, n: int):
+    """The one place that picks an engine, from the variant, the number of
+    graphs in the call and their n: single-cop calls on two or more graphs,
+    or on one graph past the variant's _INT_MAX_N, run the matrix batch;
+    otherwise a graph with n <= _INT_MAX_N runs the big-int engine and any
+    other the packed kernel (or the explicit arena, when `_kernel_winner`
+    returns None)."""
+    single_cop = isinstance(v, Classic) and v.k == 1 or isinstance(v, Complementary)
+    if single_cop and (count > 1 or n > _INT_MAX_N[v]):
+        return _single_cop_batches
+    return _int_winner if n <= _INT_MAX_N.get(v, 0) else _kernel_winner
+
+
+def winners(graphs: Sequence[Graph], v: Variant) -> list[Winner | None]:
+    """`winner` for each graph; all graphs share one n.  Single-cop games on
+    two or more graphs are solved as one batch; everything else goes one
+    graph at a time."""
+    n = one_size(graphs, GameError)
+    if _engine(v, len(graphs), n) is _single_cop_batches:
+        return _single_cop_batches(graphs, n, v)
+    return [winner(g, v) for g in graphs]
+
+
+def winner(g: Graph, v: Variant) -> Winner | None:
+    """Winner for the supported variants, or None when unsupported."""
+    engine = _engine(v, 1, g.n)
+    return _single_cop_batches([g], g.n, v)[0] if engine is _single_cop_batches else engine(g, v)

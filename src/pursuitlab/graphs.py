@@ -148,7 +148,8 @@ class PFamily:
 _DRAW_PAIRS = 4096
 # gnp_sample refuses an n whose working arrays (the pair draws, the
 # _upper_triangle mask and the adjacency, about 3 n^2 bytes) would pass this
-# many bytes: n <= 4729 is served.
+# many bytes: n <= 4729 is served.  read_edge_list holds a header's n to the
+# same bound for its 8n-byte adjacency list.
 _SAMPLE_BYTES = 1 << 26
 
 
@@ -426,6 +427,9 @@ def read_edge_list(text: str) -> Graph:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise GraphError(f"bad header line {lines[0]!r}") from exc
+    if 8 * n > _SAMPLE_BYTES:  # Graph(n) starts from an n-slot list, 8 bytes a slot
+        raise GraphError(f"n = {n} is too large: its adjacency list would take about {8 * n} bytes, "
+                         f"over the {_SAMPLE_BYTES}-byte bound")
     edges = []
     for ln in lines[1:]:
         try:

@@ -215,32 +215,37 @@ def test_byte_table_robber_step_matches_its_definition():
 
 
 def test_batch_and_single_graph_engines_agree():
-    """The matrix batch against the big-int loop, graph by graph, whichever
+    """The matrix batch against the big-int engine, graph by graph, whichever
     engine `winner` and `winners` would pick for these inputs."""
     batches = [list(all_graphs(6))]  # all 32768 six-vertex graphs in one call
     batches += [list(all_graphs(n)) for n in range(1, 5)]
     # Adjacency rows of 63..65 and 130 vertices end on either side of a 64-bit word.
     batches += [[gnp_sample(n, p, seed) for seed in range(3)] for n in (63, 64, 65, 130) for p in (0.1, 0.5, 0.9)]
-    # One graph changes engine between n = _LOOP_MAX_N and the next n.
-    cross = fastsolve._LOOP_MAX_N
-    batches += [[gnp_sample(n, p, seed) for p in (0.2, 0.5, 0.8) for seed in range(10)] for n in (cross - 1, cross, cross + 1)]
-    for complementary in (False, True):
-        for gs in batches:
-            loop = [fastsolve._single_cop_loop(g, complementary) for g in gs]
-            assert fastsolve._single_cop_batch(gs, gs[0].n, complementary) == loop
+    for v in (Classic(1), Complementary()):
+        # One graph changes engine between n = _INT_MAX_N[v] and the next n.
+        cross = fastsolve._INT_MAX_N[v]
+        near = [[gnp_sample(n, p, seed) for p in (0.2, 0.5, 0.8) for seed in range(10)] for n in (cross - 1, cross, cross + 1)]
+        for gs in batches + near:
+            one = [fastsolve._int_winner(g, v) for g in gs]
+            assert fastsolve._single_cop_batch(gs, gs[0].n, isinstance(v, Complementary)) == one
     assert fastsolve.winners([], Classic(1)) == [] and game_values([], Complementary()) == []
 
 
-def test_single_cop_engine_is_chosen_by_graph_count_and_n(monkeypatch):
+def _record_engines(monkeypatch, names):
     calls = []
-    for name in ("_single_cop_loop", "_single_cop_batch"):
+    for name in names:
         engine = getattr(fastsolve, name)
         monkeypatch.setattr(fastsolve, name, lambda *a, _name=name, _engine=engine: calls.append(_name) or _engine(*a))
-    cross = fastsolve._LOOP_MAX_N
-    one_at, one_above = gnp_sample(cross, 0.5, 1), gnp_sample(cross + 1, 0.5, 1)
+    return calls
+
+
+def test_single_cop_engine_is_chosen_by_graph_count_and_n(monkeypatch):
+    calls = _record_engines(monkeypatch, ("_int_winner", "_single_cop_batch"))
     two_small = [gnp_sample(6, 0.5, seed) for seed in range(2)]
     for v in (Classic(1), Complementary()):
-        for g, engine in ((one_at, "_single_cop_loop"), (one_above, "_single_cop_batch")):
+        cross = fastsolve._INT_MAX_N[v]
+        one_at, one_above = gnp_sample(cross, 0.5, 1), gnp_sample(cross + 1, 0.5, 1)
+        for g, engine in ((one_at, "_int_winner"), (one_above, "_single_cop_batch")):
             for solve_one in (fastsolve.winner, game_value, lambda g, v: fastsolve.winners([g], v)):
                 calls.clear()
                 solve_one(g, v)
@@ -249,6 +254,76 @@ def test_single_cop_engine_is_chosen_by_graph_count_and_n(monkeypatch):
             calls.clear()
             solve_all(two_small, v)
             assert calls == ["_single_cop_batch"], v
+
+
+def test_two_cop_engine_is_chosen_by_n(monkeypatch):
+    """Classic(2) leaves the big-int engine for the packed kernel past its
+    crossover; Tandem has none, and stays on the big-int engine at every n."""
+    calls = _record_engines(monkeypatch, ("_int_winner", "_kernel_winner"))
+    cross = fastsolve._INT_MAX_N[Classic(2)]
+    cases = [
+        (Classic(2), gnp_sample(cross, 0.5, 1), "_int_winner"),
+        (Classic(2), gnp_sample(cross + 1, 0.5, 1), "_kernel_winner"),
+        (Tandem(), gnp_sample(6, 0.5, 1), "_int_winner"),
+        (Tandem(), gnp_sample(120, 0.5, 1), "_int_winner"),
+        (Classic(3), gnp_sample(6, 0.5, 1), "_kernel_winner"),
+    ]
+    for v, g, engine in cases:
+        for solve_one in (fastsolve.winner, game_value, lambda g, v: fastsolve.winners([g, g], v)[0]):
+            calls.clear()
+            solve_one(g, v)
+            assert set(calls) == {engine}, (g.n, v)
+
+
+def _kernel_tandem(g: Graph) -> Winner:
+    """Tandem on the packed kernel over ordered cop pairs (lead, second),
+    without the big-int engine's factorisation: the lead moves inside its
+    closed neighbourhood, then the second cop anywhere in N[lead] (an OR over
+    the second axis, read on the diagonal).  Legal placements are equal or
+    adjacent pairs, and the first cop step reaches the lead's closed 2-ball."""
+    n = g.n
+    eye = np.eye(n, dtype=bool)
+    closed = np.array([[u == v or g.has_edge(u, v) for u in range(n)] for v in range(n)])
+    bits = fastsolve._pack(eye)
+    diag = np.arange(n)
+
+    def cop_step(rt, nb):
+        lead = fastsolve._nbhd_or(rt, 1, nb)[diag, diag]
+        return fastsolve._nbhd_or(lead, 0, nb)[:, None].repeat(n, axis=1)
+
+    ball = fastsolve._pack(closed.astype(int) @ closed > 0)
+    return fastsolve._fixpoint(closed, fastsolve._pack(closed), [bits, bits], [ball, bits], closed, cop_step)
+
+
+def test_big_int_and_kernel_engines_agree_on_two_cop_games():
+    """The big-int engine against the packed kernel, on every graph with
+    n <= 6 and on seeded graphs around Classic(2)'s crossover and at larger n
+    for Tandem.  Where round one decides (some lead has a full closed 2-ball
+    for Tandem, some pair dominates for Classic(2)), the kernel returns a cop
+    win from its closed-form first step, so the big-int answer is checked
+    against that test directly; every other graph is solved by both, and
+    both winners must occur among them."""
+    def two_ball_full(g):
+        closed = [a | 1 << v for v, a in enumerate(g.adjacency)]
+        return any(reduce(or_, (closed[x] for x in g.neighbors(c)), closed[c]) == (1 << g.n) - 1 for c in range(g.n))
+
+    small = [g for n in range(1, 7) for g in all_graphs(n)]
+    cross = fastsolve._INT_MAX_N[Classic(2)]
+    cases = [
+        (Tandem(), _kernel_tandem, two_ball_full, small + [gnp_sample(n, p, seed) for n in (7, 12, 30) for p in (0.1, 0.2, 0.5) for seed in range(4)]),
+        (Classic(2), lambda g: fastsolve._kernel_winner(g, Classic(2)), lambda g: _dominated_by(g, 2),
+         small + [gnp_sample(n, p, seed) for n in (cross - 1, cross, cross + 1) for p in (0.2, 0.5, 0.8) for seed in range(10)]),
+    ]
+    for v, kernel, decided_in_round_one, gs in cases:
+        undecided = {w: 0 for w in Winner}
+        for g in gs:
+            w = fastsolve._int_winner(g, v)
+            if decided_in_round_one(g):
+                assert w is Winner.COP, (v, g.adjacency)
+            else:
+                assert w is kernel(g), (v, g.adjacency)
+                undecided[w] += 1
+        assert min(undecided.values()) >= 100, (v, undecided)
 
 
 def test_batch_needs_graphs_of_one_size():

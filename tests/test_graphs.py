@@ -254,6 +254,22 @@ def test_edge_list_rejects_malformed():
         read_edge_list("n 4\n0 x\n")
 
 
+
+def test_edge_list_refuses_oversized_n_before_allocating(monkeypatch):
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="too large"):
+            read_edge_list("n 1000000000\n0 1\n")  # an 8 GB adjacency list
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    monkeypatch.setattr(graphs, "_SAMPLE_BYTES", 800)  # the boundary at a cheap size
+    assert read_edge_list("n 100\n0 1\n").n == 100
+    with pytest.raises(GraphError, match="too large"):
+        read_edge_list("n 101\n")
+
+
 def test_dot_export():
     dot = to_dot(Graph(3, [(0, 1)]))
     assert "0 -- 1;" in dot and "2;" in dot
