@@ -84,12 +84,14 @@ _BATCH_BYTES = 1 << 18
 #   Classic(2)     n = 6: 16 / 63    8: 43 / 107    9: 73 / 95     10: 130 / 138   11: 231 / 250   12: 269 / 186
 #   Tandem         n = 6: 4 / 81    12: 12 / 180   30: 22 / 330    60: 19 / 1125  100: 20 / 2850  150: 26 / 7132
 #
-# Tandem has no crossover: the kernel, over ordered cop pairs, also lost on
-# sparse G(n, c/n), c in {1, 2, 4, 8}, by 3x to 20x at n = 12..200 (the
-# default budget admits n <= 171).  Two or more single-cop graphs run the
-# batch: per graph it costs less from about 10 graphs on (100 graphs at
+# Classic(2) at n = 10 ties on this mix but loses on robber wins, which run
+# to saturation: 492 / 365 us over 64 of them, 527 / 135 us on the Petersen
+# graph.  Tandem has no crossover: the kernel, over ordered cop pairs, also
+# lost on sparse G(n, c/n), c in {1, 2, 4, 8}, by 3x to 20x at n = 12..200
+# (the default budget admits n <= 171).  Two or more single-cop graphs run
+# the batch: per graph it costs less from about 10 graphs on (100 graphs at
 # n = 6: 4.2 against 7.6 us).
-_INT_MAX_N = {Classic(1): 23, Complementary(): 38, Classic(2): 10, Tandem(): math.inf}
+_INT_MAX_N = {Classic(1): 23, Complementary(): 38, Classic(2): 9, Tandem(): math.inf}
 
 
 def _int_fixpoint(ct: list[int], moves: list[int], notn: list[int], full: int) -> Winner:
