@@ -104,12 +104,13 @@ def _int_fixpoint(ct: list[int], moves: list[int], notn: list[int], full: int) -
     ct holds CT0, the first cop step in closed form (the robber vertices one
     cop move from c captures on), which the caller has found to have no full
     row.  moves[c] is a mask over configurations, and symmetric: x is in
-    moves[c] iff c is in moves[x].  Both sides only grow, so evaluation is
+    moves[c] iff c is in moves[x].  CT and T only grow, so evaluation is
     semi-naive: only rows of CT that changed are trapped again, and only
-    configurations whose T grew push it to the rows that move to them.  The trapped set is the AND of notn[y] = ~N[y] over
-    the y outside the CT row, cut short once it is empty.  Every
-    configuration is a legal placement, so the first full row is a cop win,
-    and a round in which no T grows is a robber win.
+    configurations whose T grew push it to the rows that move to them.  The
+    trapped set is the AND of notn[y] = ~N[y] over the y outside the CT row,
+    cut short once it is empty.  Every configuration is a legal placement,
+    so the first full row is a cop win, and a round in which no T grows is a
+    robber win.
     """
     ct = list(ct)
     trapped = [0] * len(ct)
