@@ -8,33 +8,32 @@ explicit worklist solver computes:
     RT[cfg] = occupied[cfg] | { r : closed_nbhd(r) subset of CT[cfg] }
 
 with capture states seeding both sides.  Cops win iff some legal placement
-configuration ends up with a full CT row.  `_engine` alone picks one of
+configuration ends up with a full CT row.  `_solve` alone picks one of
 three engines for it, from the variant, the number of graphs in the call
 and n:
 
   * the big-int engine, `_int_fixpoint`, keeps one Python int of robber
     vertices per configuration in a flat list.  It takes Classic(1),
-    Complementary, Classic(2) and Tandem, one graph at a time, up to each
-    variant's crossover n (`_INT_MAX_N`; Tandem has none).  Each variant
-    gives its first cop step CT0 in closed form, which decides a cop win
-    before anything else is built, and its cop moves as masks over the
+    Complementary and Tandem, one graph at a time, up to each variant's
+    crossover n (`_INT_MAX_N`; Tandem has none).  Each variant gives its
+    first cop step CT0 in closed form, which decides a cop win before
+    anything else is built, and its cop moves as masks over the
     configurations.  Tandem is solved over the lead's vertex alone: the
     second cop may stand anywhere in N[lead] after every move, so the lead
     decides the cop step, and a round costs O(n * degree) int operations.
     Rounds are semi-naive: only rows of CT that changed are trapped again,
-    and only configurations whose trapped set grew push it on;
+    and only configurations whose T grew push it on;
   * the matrix batch, `_single_cop_batch`, runs the single-cop fixed point
     on graphs of one n together, over float32 (B, n, n) 0/1 matrices
     indexed [graph, cop, robber], both half-steps matrix products.  It takes
     every single-cop call on two or more graphs, and one graph past the
     crossover;
-  * the packed kernel, `_fixpoint`, takes Classic(k >= 3), Classic(2) past
-    its crossover and Traps(1,t), over a tensor of configurations whose
-    robber sets are packed into uint64 words.  Each variant supplies per-axis
-    row tables for its capture rows and for its first cop step CT0 in closed
-    form (Classic(k): the OR of k closed neighbourhoods; Traps(1,t):
-    N[c] | sites), its legal placements, and a general cop step built from
-    `_nbhd_or`.  CT0 decides a cop win when one move from some legal
+  * the packed kernel, `_fixpoint`, takes Classic(k >= 2) and Traps(1,t)
+    at every n, over a tensor of configurations whose robber sets are packed
+    into uint64 words.  Each variant supplies per-axis row tables for its
+    capture rows and for its first cop step CT0 in closed form (Classic(k):
+    the OR of k closed neighbourhoods; Traps(1,t): N[c] | sites), its legal
+    placements, and a general cop step built from `_nbhd_or`.  CT0 decides a cop win when one move from some legal
     placement reaches every vertex; for Classic(k) that is a dominating
     k-set, which G(60, 1/2) almost always has for k = 3 (its domination
     number is about log2 n - log2 log2 n; Wieland and Godbole, 2001).
@@ -64,7 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from .games import Classic, Complementary, GameError, Tandem, Traps, Variant, Winner
-from .graphs import Graph, _bits_to_list, adjacency_array, one_size
+from .graphs import Graph, adjacency_array, one_size
 
 __all__ = ["winner", "winners"]
 
@@ -73,25 +72,21 @@ __all__ = ["winner", "winners"]
 # raised the peak RSS of Monte Carlo rows at N = 200..300 from 37.9 to 41.2 MB.
 _BATCH_BYTES = 1 << 18
 # One graph with at most _INT_MAX_N[v] vertices runs the big-int engine; a
-# bigger one runs the matrix batch (one cop) or the packed kernel
-# (Classic(2)).  One-graph calls, us per graph, big-int / other engine, mean
+# bigger one runs the matrix batch.  One-graph calls, us per graph, big-int /
+# other engine (the packed kernel over ordered cop pairs for Tandem), mean
 # over 40 G(n, p) at each p in {0.2, 0.5, 0.8}, engines interleaved, best of
 # 5 (2 cores, Python 3.11, numpy 2.4; one engine reads up to 2x apart
 # between runs, so only the ratios are stable):
 #
 #   Classic(1)     n = 6: 7 / 71    12: 33 / 107   20: 98 / 121    23: 126 / 135   24: 95 / 94     30: 174 / 67
 #   Complementary  n = 6: 6 / 59    20: 17 / 56    30: 27 / 56     38: 56 / 59     40: 61 / 60     60: 170 / 78
-#   Classic(2)     n = 6: 16 / 63    8: 43 / 107    9: 73 / 95     10: 130 / 138   11: 231 / 250   12: 269 / 186
 #   Tandem         n = 6: 4 / 81    12: 12 / 180   30: 22 / 330    60: 19 / 1125  100: 20 / 2850  150: 26 / 7132
 #
-# Classic(2) at n = 10 ties on this mix but loses on robber wins, which run
-# to saturation: 492 / 365 us over 64 of them, 527 / 135 us on the Petersen
-# graph.  Tandem has no crossover: the kernel, over ordered cop pairs, also
-# lost on sparse G(n, c/n), c in {1, 2, 4, 8}, by 3x to 20x at n = 12..200
-# (the default budget admits n <= 171).  Two or more single-cop graphs run
-# the batch: per graph it costs less from about 10 graphs on (100 graphs at
-# n = 6: 4.2 against 7.6 us).
-_INT_MAX_N = {Classic(1): 23, Complementary(): 38, Classic(2): 9, Tandem(): math.inf}
+# Tandem has no crossover: the kernel also lost on sparse G(n, c/n),
+# c in {1, 2, 4, 8}, by 3x to 20x at n = 12..200 (the default budget admits
+# n <= 171).  Two or more single-cop graphs run the batch: per graph it costs
+# less from about 10 graphs on (100 graphs at n = 6: 4.2 against 7.6 us).
+_INT_MAX_N = {Classic(1): 23, Complementary(): 38, Tandem(): math.inf}
 
 
 def _int_fixpoint(ct: list[int], moves: list[int], notn: list[int], full: int) -> Winner:
@@ -155,9 +150,6 @@ def _int_winner(g: Graph, v: Variant) -> Winner:
       * one cop (Classic(1), Complementary): configuration c is the cop's
         vertex; CT0[c] and moves[c] are its closed neighbourhood, in the
         complement when complementary (every vertex c is not adjacent to);
-      * Classic(2): ordered pairs (a, b) at bit a * n + b, moving to
-        N[a] x N[b] (N[b] repeated at the offsets a' * n of a' in N[a]);
-        CT0 is N[a] | N[b];
       * Tandem: the cop step depends only on the lead, and the second cop
         may then stand anywhere in N[lead], so configuration x is the lead's
         vertex after a move.  From there the cops capture on N[x] (the second
@@ -179,12 +171,6 @@ def _int_winner(g: Graph, v: Variant) -> Winner:
                 return Winner.COP
             ct.append(u)
         moves = closed
-    elif isinstance(v, Classic) and v.k == 2:
-        ct = [a | b for a in closed for b in closed]
-        if full in ct:
-            return Winner.COP
-        offsets = [sum(1 << a * n for a in _bits_to_list(c)) for c in closed]
-        moves = [s * b for s in offsets for b in closed]  # the blocks of n bits do not overlap
     else:
         ct = [full ^ a for a in g.adjacency] if isinstance(v, Complementary) else closed
         if full in ct:
@@ -391,30 +377,25 @@ def _kernel_winner(g: Graph, v: Variant) -> Winner | None:
     return None
 
 
-def _engine(v: Variant, count: int, n: int):
+def _solve(graphs: Sequence[Graph], n: int, v: Variant) -> list[Winner | None]:
     """The one place that picks an engine, from the variant, the number of
-    graphs in the call and their n: single-cop calls on two or more graphs,
-    or on one graph past the variant's _INT_MAX_N, run the matrix batch;
-    otherwise a graph with n <= _INT_MAX_N runs the big-int engine and any
-    other the packed kernel (or the explicit arena, when `_kernel_winner`
-    returns None)."""
+    graphs and their n: single-cop calls on two or more graphs, or on one
+    graph past the variant's _INT_MAX_N, run the matrix batch; otherwise a
+    graph with n <= _INT_MAX_N runs the big-int engine and any other the
+    packed kernel (or the explicit arena, when `_kernel_winner` returns
+    None)."""
     single_cop = isinstance(v, Classic) and v.k == 1 or isinstance(v, Complementary)
-    if single_cop and (count > 1 or n > _INT_MAX_N[v]):
-        return _single_cop_batches
-    return _int_winner if n <= _INT_MAX_N.get(v, 0) else _kernel_winner
+    if single_cop and (len(graphs) > 1 or n > _INT_MAX_N[v]):
+        return _single_cop_batches(graphs, n, v)
+    solve = _int_winner if n <= _INT_MAX_N.get(v, 0) else _kernel_winner
+    return [solve(g, v) for g in graphs]
 
 
 def winners(graphs: Sequence[Graph], v: Variant) -> list[Winner | None]:
-    """`winner` for each graph; all graphs share one n.  Single-cop games on
-    two or more graphs are solved as one batch; everything else goes one
-    graph at a time."""
-    n = one_size(graphs, GameError)
-    if _engine(v, len(graphs), n) is _single_cop_batches:
-        return _single_cop_batches(graphs, n, v)
-    return [winner(g, v) for g in graphs]
+    """`winner` for each graph; all graphs share one n."""
+    return _solve(graphs, one_size(graphs, GameError), v)
 
 
 def winner(g: Graph, v: Variant) -> Winner | None:
     """Winner for the supported variants, or None when unsupported."""
-    engine = _engine(v, 1, g.n)
-    return _single_cop_batches([g], g.n, v)[0] if engine is _single_cop_batches else engine(g, v)
+    return _solve([g], g.n, v)[0]

@@ -128,12 +128,12 @@ def test_non_integer_vertex_is_domain_exit(tmp_path, capsys):
         assert code == 2 and out == "" and err == "error: bad edge line '0 x'\n", argv
 
 
-
 def test_solve_refuses_oversized_header_n(tmp_path, capsys):
     graph = tmp_path / "huge.edges"
     graph.write_text("n 1000000000\n0 1\n")
     code, out, err = run_cli(capsys, "solve", "--graph", str(graph))
     assert code == 2 and out == "" and err.startswith("error: n = 1000000000 is too large") and err.count("\n") == 1
+
 
 def test_solve_budget_exit_code(capsys):
     code, _, err = run_cli(capsys, "solve", "--named", "petersen", "--k", "2", "--max-states", "10")

@@ -256,18 +256,12 @@ def test_single_cop_engine_is_chosen_by_graph_count_and_n(monkeypatch):
             assert calls == ["_single_cop_batch"], v
 
 
-def test_two_cop_engine_is_chosen_by_n(monkeypatch):
-    """Classic(2) leaves the big-int engine for the packed kernel past its
-    crossover; Tandem has none, and stays on the big-int engine at every n."""
+def test_two_cop_engine_is_chosen_by_variant(monkeypatch):
+    """Tandem has no crossover, and stays on the big-int engine at every n;
+    Classic(k >= 2) runs the packed kernel at every n."""
     calls = _record_engines(monkeypatch, ("_int_winner", "_kernel_winner"))
-    cross = fastsolve._INT_MAX_N[Classic(2)]
-    cases = [
-        (Classic(2), gnp_sample(cross, 0.5, 1), "_int_winner"),
-        (Classic(2), gnp_sample(cross + 1, 0.5, 1), "_kernel_winner"),
-        (Tandem(), gnp_sample(6, 0.5, 1), "_int_winner"),
-        (Tandem(), gnp_sample(120, 0.5, 1), "_int_winner"),
-        (Classic(3), gnp_sample(6, 0.5, 1), "_kernel_winner"),
-    ]
+    cases = [(Tandem(), gnp_sample(n, 0.5, 1), "_int_winner") for n in (6, 120)]
+    cases += [(Classic(k), gnp_sample(n, 0.5, 1), "_kernel_winner") for k in (2, 3) for n in (6, 12)]
     for v, g, engine in cases:
         for solve_one in (fastsolve.winner, game_value, lambda g, v: fastsolve.winners([g, g], v)[0]):
             calls.clear()
@@ -295,35 +289,28 @@ def _kernel_tandem(g: Graph) -> Winner:
     return fastsolve._fixpoint(closed, fastsolve._pack(closed), [bits, bits], [ball, bits], closed, cop_step)
 
 
-def test_big_int_and_kernel_engines_agree_on_two_cop_games():
-    """The big-int engine against the packed kernel, on every graph with
-    n <= 6 and on seeded graphs around Classic(2)'s crossover and at larger n
-    for Tandem.  Where round one decides (some lead has a full closed 2-ball
-    for Tandem, some pair dominates for Classic(2)), the kernel returns a cop
-    win from its closed-form first step, so the big-int answer is checked
-    against that test directly; every other graph is solved by both, and
-    both winners must occur among them."""
+def test_big_int_and_kernel_engines_agree_on_tandem():
+    """The big-int engine against the packed kernel for Tandem, on every
+    graph with n <= 6 and on seeded sparse graphs at larger n.  Where round
+    one decides (some lead has a full closed 2-ball), the kernel returns a
+    cop win from its closed-form first step, so the big-int answer is
+    checked against that test directly; every other graph is solved by both,
+    and both winners must occur among them."""
     def two_ball_full(g):
         closed = [a | 1 << v for v, a in enumerate(g.adjacency)]
         return any(reduce(or_, (closed[x] for x in g.neighbors(c)), closed[c]) == (1 << g.n) - 1 for c in range(g.n))
 
-    small = [g for n in range(1, 7) for g in all_graphs(n)]
-    cross = fastsolve._INT_MAX_N[Classic(2)]
-    cases = [
-        (Tandem(), _kernel_tandem, two_ball_full, small + [gnp_sample(n, p, seed) for n in (7, 12, 30) for p in (0.1, 0.2, 0.5) for seed in range(4)]),
-        (Classic(2), lambda g: fastsolve._kernel_winner(g, Classic(2)), lambda g: _dominated_by(g, 2),
-         small + [gnp_sample(n, p, seed) for n in (cross - 1, cross, cross + 1) for p in (0.2, 0.5, 0.8) for seed in range(10)]),
-    ]
-    for v, kernel, decided_in_round_one, gs in cases:
-        undecided = {w: 0 for w in Winner}
-        for g in gs:
-            w = fastsolve._int_winner(g, v)
-            if decided_in_round_one(g):
-                assert w is Winner.COP, (v, g.adjacency)
-            else:
-                assert w is kernel(g), (v, g.adjacency)
-                undecided[w] += 1
-        assert min(undecided.values()) >= 100, (v, undecided)
+    gs = [g for n in range(1, 7) for g in all_graphs(n)]
+    gs += [gnp_sample(n, p, seed) for n in (7, 12, 30) for p in (0.1, 0.2, 0.5) for seed in range(4)]
+    undecided = {w: 0 for w in Winner}
+    for g in gs:
+        w = fastsolve._int_winner(g, Tandem())
+        if two_ball_full(g):
+            assert w is Winner.COP, g.adjacency
+        else:
+            assert w is _kernel_tandem(g), g.adjacency
+            undecided[w] += 1
+    assert min(undecided.values()) >= 100, undecided
 
 
 def test_batch_needs_graphs_of_one_size():

@@ -254,7 +254,6 @@ def test_edge_list_rejects_malformed():
         read_edge_list("n 4\n0 x\n")
 
 
-
 def test_edge_list_refuses_oversized_n_before_allocating(monkeypatch):
     tracemalloc.start()
     try:
