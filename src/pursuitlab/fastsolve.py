@@ -8,9 +8,10 @@ explicit worklist solver computes:
     RT[cfg] = occupied[cfg] | { r : closed_nbhd(r) subset of CT[cfg] }
 
 with capture states seeding both sides.  Cops win iff some legal placement
-configuration ends up with a full CT row.  `_solve` alone picks one of
-three engines for it, from the variant, the number of graphs in the call
-and n:
+configuration ends up with a full CT row.  One of three engines computes
+it, picked from the variant, the number of graphs in the call and n:
+`winners` sends single-cop games on two or more graphs to the matrix batch
+and every other graph to `winner`, which picks by the variant and n:
 
   * the big-int engine, `_int_fixpoint`, keeps one Python int of robber
     vertices per configuration in a flat list.  It takes Classic(1),
@@ -87,6 +88,7 @@ _BATCH_BYTES = 1 << 18
 # n <= 171).  Two or more single-cop graphs run the batch: per graph it costs
 # less from about 10 graphs on (100 graphs at n = 6: 4.2 against 7.6 us).
 _INT_MAX_N = {Classic(1): 23, Complementary(): 38, Tandem(): math.inf}
+_SINGLE_COP = (Classic(1), Complementary())
 
 
 def _int_fixpoint(ct: list[int], moves: list[int], notn: list[int], full: int) -> Winner:
@@ -377,25 +379,23 @@ def _kernel_winner(g: Graph, v: Variant) -> Winner | None:
     return None
 
 
-def _solve(graphs: Sequence[Graph], n: int, v: Variant) -> list[Winner | None]:
-    """The one place that picks an engine, from the variant, the number of
-    graphs and their n: single-cop calls on two or more graphs, or on one
-    graph past the variant's _INT_MAX_N, run the matrix batch; otherwise a
-    graph with n <= _INT_MAX_N runs the big-int engine and any other the
-    packed kernel (or the explicit arena, when `_kernel_winner` returns
-    None)."""
-    single_cop = isinstance(v, Classic) and v.k == 1 or isinstance(v, Complementary)
-    if single_cop and (len(graphs) > 1 or n > _INT_MAX_N[v]):
-        return _single_cop_batches(graphs, n, v)
-    solve = _int_winner if n <= _INT_MAX_N.get(v, 0) else _kernel_winner
-    return [solve(g, v) for g in graphs]
-
-
 def winners(graphs: Sequence[Graph], v: Variant) -> list[Winner | None]:
-    """`winner` for each graph; all graphs share one n."""
-    return _solve(graphs, one_size(graphs, GameError), v)
+    """`winner` for each graph; all graphs share one n.  Single-cop games on
+    two or more graphs are solved as one matrix batch; every other call goes
+    one graph at a time through `winner`."""
+    n = one_size(graphs, GameError)
+    if len(graphs) > 1 and v in _SINGLE_COP:
+        return _single_cop_batches(graphs, n, v)
+    return [winner(g, v) for g in graphs]
 
 
 def winner(g: Graph, v: Variant) -> Winner | None:
-    """Winner for the supported variants, or None when unsupported."""
-    return _solve([g], g.n, v)[0]
+    """Winner for the supported variants, or None when unsupported.  A graph
+    with n <= _INT_MAX_N[v] runs the big-int engine; a bigger one runs the
+    matrix batch for a single-cop game and the packed kernel for any other
+    (or the explicit arena, when `_kernel_winner` returns None)."""
+    if g.n <= _INT_MAX_N.get(v, 0):
+        return _int_winner(g, v)
+    if v in _SINGLE_COP:
+        return _single_cop_batches([g], g.n, v)[0]
+    return _kernel_winner(g, v)
