@@ -311,7 +311,7 @@ def _cmd_threshold(args) -> int:
         with open(args.rooted) as fh:
             rg = thresholds.read_rooted(fh.read())
     fn = thresholds.threshold(rg, args.convention)
-    mad = thresholds.mad(rg, args.convention)
+    mad = -1 / fn.exponent  # threshold's exponent is -1/mad
     config = {"command": "threshold", "rooted": args.rooted, "gadget": args.gadget,
               "convention": args.convention}
     _emit(_json_dump({"config": config, **fn.to_json_dict(),

@@ -9,26 +9,26 @@ explicit worklist solver computes:
 
 with capture states seeding both sides.  Cops win iff some legal placement
 configuration ends up with a full CT row.  One of three engines computes
-it, picked from the variant, the number of graphs in the call and n:
-`winners` sends single-cop games on two or more graphs to the matrix batch
-and every other graph to `winner`, which picks by the variant and n:
+it, picked from the variant and the number of graphs in the call: `winners`
+sends single-cop games on two or more graphs to the matrix batch and every
+other graph to `winner`, which picks by the variant alone:
 
   * the big-int engine, `_int_fixpoint`, keeps one Python int of robber
     vertices per configuration in a flat list.  It takes Classic(1),
-    Complementary and Tandem, one graph at a time, up to each variant's
-    crossover n (`_INT_MAX_N`; Tandem has none).  Each variant gives its
-    first cop step CT0 in closed form, which decides a cop win before
-    anything else is built, and its cop moves as masks over the
+    Complementary and Tandem, one graph at a time, at every n.  Each
+    variant gives its first cop step CT0 in closed form, which decides a cop
+    win before anything else is built, and its cop moves as masks over the
     configurations.  Tandem is solved over the lead's vertex alone: the
     second cop may stand anywhere in N[lead] after every move, so the lead
     decides the cop step, and a round costs O(n * degree) int operations.
     Rounds are semi-naive: only rows of CT that changed are trapped again,
-    and only configurations whose T grew push it on;
+    and only configurations whose T grew push it on.  A game that needs
+    many rounds on one large sparse graph (a tree, say) costs it more than
+    it would cost the batch; README lists the measured trade-off;
   * the matrix batch, `_single_cop_batch`, runs the single-cop fixed point
     on graphs of one n together, over float32 (B, n, n) 0/1 matrices
     indexed [graph, cop, robber], both half-steps matrix products.  It takes
-    every single-cop call on two or more graphs, and one graph past the
-    crossover;
+    every single-cop call on two or more graphs;
   * the packed kernel, `_fixpoint`, takes Classic(k >= 2) and Traps(1,t)
     at every n, over a tensor of configurations whose robber sets are packed
     into uint64 words.  Each variant supplies per-axis row tables for its
@@ -56,7 +56,6 @@ other, is enforced by the test suite.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Sequence
@@ -72,22 +71,6 @@ __all__ = ["winner", "winners"]
 # bytes, and at least one graph.  1 MiB ran n <= 60 up to 30% faster, but
 # raised the peak RSS of Monte Carlo rows at N = 200..300 from 37.9 to 41.2 MB.
 _BATCH_BYTES = 1 << 18
-# One graph with at most _INT_MAX_N[v] vertices runs the big-int engine; a
-# bigger one runs the matrix batch.  One-graph calls, us per graph, big-int /
-# other engine (the packed kernel over ordered cop pairs for Tandem), mean
-# over 40 G(n, p) at each p in {0.2, 0.5, 0.8}, engines interleaved, best of
-# 5 (2 cores, Python 3.11, numpy 2.4; one engine reads up to 2x apart
-# between runs, so only the ratios are stable):
-#
-#   Classic(1)     n = 6: 7 / 71    12: 33 / 107   20: 98 / 121    23: 126 / 135   24: 95 / 94     30: 174 / 67
-#   Complementary  n = 6: 6 / 59    20: 17 / 56    30: 27 / 56     38: 56 / 59     40: 61 / 60     60: 170 / 78
-#   Tandem         n = 6: 4 / 81    12: 12 / 180   30: 22 / 330    60: 19 / 1125  100: 20 / 2850  150: 26 / 7132
-#
-# Tandem has no crossover: the kernel also lost on sparse G(n, c/n),
-# c in {1, 2, 4, 8}, by 3x to 20x at n = 12..200 (the default budget admits
-# n <= 171).  Two or more single-cop graphs run the batch: per graph it costs
-# less from about 10 graphs on (100 graphs at n = 6: 4.2 against 7.6 us).
-_INT_MAX_N = {Classic(1): 23, Complementary(): 38, Tandem(): math.inf}
 _SINGLE_COP = (Classic(1), Complementary())
 
 
@@ -108,6 +91,12 @@ def _int_fixpoint(ct: list[int], moves: list[int], notn: list[int], full: int) -
     cut short once it is empty.  Every configuration is a legal placement,
     so the first full row is a cop win, and a round in which no T grows is a
     robber win.
+
+    T[x] leaves out x itself: a robber there is captured, and every row c
+    that moves to x already holds x, because CT0[c] holds moves[c] (the
+    caller's condition).  Kept, x would stay in the AND while the row holds
+    N[x], since no y outside the row is then adjacent to x; the cut-off
+    would not fire, and every T would count as grown in round one.
     """
     ct = list(ct)
     trapped = [0] * len(ct)
@@ -116,7 +105,7 @@ def _int_fixpoint(ct: list[int], moves: list[int], notn: list[int], full: int) -
         grown = []
         for x in dirty:
             row = ct[x]
-            t = row
+            t = row & ~(1 << x)
             m = full ^ row
             while m and t:
                 b = m & -m
@@ -147,7 +136,8 @@ def _int_fixpoint(ct: list[int], moves: list[int], notn: list[int], full: int) -
 def _int_winner(g: Graph, v: Variant) -> Winner:
     """The big-int engine on one graph.  Each variant gives its
     configurations' first cop step CT0 in closed form, checked for a full
-    row before anything else is built, and their moves:
+    row before anything else is built, and their moves; in each, CT0[c]
+    holds moves[c], as `_int_fixpoint` needs:
 
       * one cop (Classic(1), Complementary): configuration c is the cop's
         vertex; CT0[c] and moves[c] are its closed neighbourhood, in the
@@ -223,13 +213,6 @@ def _single_cop_batch(graphs: Sequence[Graph], n: int, complementary: bool) -> l
             for a in (rt, rob) if cop is rob else (rt, rob, cop):
                 a[: live.size] = a[:m][keep]
     return out
-
-
-def _single_cop_batches(graphs: Sequence[Graph], n: int, v: Variant) -> list[Winner]:
-    """`_single_cop_batch` in sub-batches of at most _BATCH_BYTES per array."""
-    step = max(1, _BATCH_BYTES // (4 * n * n))
-    complementary = isinstance(v, Complementary)
-    return [w for i in range(0, len(graphs), step) for w in _single_cop_batch(graphs[i : i + step], n, complementary)]
 
 
 def _pack(rows: np.ndarray) -> np.ndarray:
@@ -385,17 +368,17 @@ def winners(graphs: Sequence[Graph], v: Variant) -> list[Winner | None]:
     one graph at a time through `winner`."""
     n = one_size(graphs, GameError)
     if len(graphs) > 1 and v in _SINGLE_COP:
-        return _single_cop_batches(graphs, n, v)
+        step = max(1, _BATCH_BYTES // (4 * n * n))
+        complementary = isinstance(v, Complementary)
+        return [w for i in range(0, len(graphs), step) for w in _single_cop_batch(graphs[i : i + step], n, complementary)]
     return [winner(g, v) for g in graphs]
 
 
 def winner(g: Graph, v: Variant) -> Winner | None:
-    """Winner for the supported variants, or None when unsupported.  A graph
-    with n <= _INT_MAX_N[v] runs the big-int engine; a bigger one runs the
-    matrix batch for a single-cop game and the packed kernel for any other
-    (or the explicit arena, when `_kernel_winner` returns None)."""
-    if g.n <= _INT_MAX_N.get(v, 0):
+    """Winner for the supported variants, or None when unsupported.
+    Classic(1), Complementary and Tandem run the big-int engine; every other
+    variant runs the packed kernel (or the explicit arena, when
+    `_kernel_winner` returns None)."""
+    if v in _SINGLE_COP or isinstance(v, Tandem):
         return _int_winner(g, v)
-    if v in _SINGLE_COP:
-        return _single_cop_batches([g], g.n, v)[0]
     return _kernel_winner(g, v)

@@ -130,6 +130,10 @@ class Tandem:
 
 Variant = Union[Classic, Traps, Roadblocks, Complementary, Tandem]
 
+# fastsolve takes GameError, Winner and the variants from this module, so it
+# is imported once they exist.
+from . import fastsolve  # noqa: E402
+
 
 def variant_id(v: Variant) -> str:
     if isinstance(v, Classic):
@@ -456,8 +460,6 @@ def game_value(g: Graph, v: Variant, max_states: int = DEFAULT_MAX_STATES) -> Wi
     go through the explicit arena.
     """
     check_budget(g.n, v, max_states)
-    from . import fastsolve
-
     w = fastsolve.winner(g, v)
     return w if w is not None else _arena_value(g, v, max_states)
 
@@ -476,8 +478,6 @@ def game_values(graphs: Sequence[Graph], v: Variant, max_states: int = DEFAULT_M
     same backends as `game_value`.
     """
     check_budget(one_size(graphs, GameError), v, max_states)
-    from . import fastsolve
-
     out = fastsolve.winners(graphs, v)
     return [w if w is not None else _arena_value(g, v, max_states) for g, w in zip(graphs, out)]
 

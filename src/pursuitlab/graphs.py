@@ -97,16 +97,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (u,v) with u < v, lexicographically sorted."""
-        out = []
-        for u in range(self.n):
-            m = self._adj[u] >> (u + 1)
-            v = u + 1
-            while m:
-                if m & 1:
-                    out.append((u, v))
-                m >>= 1
-                v += 1
-        return out
+        return [(u, u + 1 + v) for u, a in enumerate(self._adj) for v in _bits_to_list(a >> (u + 1))]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj

@@ -4,10 +4,11 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pursuitlab
-from pursuitlab import games
+from pursuitlab import games, thresholds
 from pursuitlab.cli import main
 from pursuitlab.games import Classic, state_estimate
 from pursuitlab.graphs import gnp_sample, read_edge_list, write_edge_list
@@ -305,6 +306,21 @@ def test_threshold_file_and_error_exit(tmp_path, capsys):
     roots_only.write_text("n 2\n0 1\nroots 0 1\n")
     code, _, err = run_cli(capsys, "threshold", "--rooted", str(roots_only))
     assert code == 2
+
+
+def test_threshold_enumerates_subextensions_once(tmp_path, capsys, monkeypatch):
+    rg = thresholds.RootedGraph(gnp_sample(10, 0.4, 3), frozenset({0, 1}))
+    p = tmp_path / "g.rooted"
+    p.write_text(thresholds.write_rooted(rg))
+    calls = []
+    subextensions = thresholds.subextensions
+    monkeypatch.setattr(thresholds, "subextensions", lambda rg: calls.append(rg) or subextensions(rg))
+    for convention in ("paper", "nonroot"):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "threshold", "--rooted", str(p), "--convention", convention)
+        doc = json.loads(out)
+        assert code == 0 and len(calls) == 1, convention
+        assert Fraction(doc["mad_num"], doc["mad_den"]) == thresholds.mad(rg, convention)
 
 
 def test_threshold_usage(capsys):

@@ -215,17 +215,17 @@ def test_byte_table_robber_step_matches_its_definition():
 
 
 def test_batch_and_single_graph_engines_agree():
-    """The matrix batch against the big-int engine, graph by graph, whichever
-    engine `winner` and `winners` would pick for these inputs."""
+    """The matrix batch against the big-int engine, graph by graph.  Trees,
+    paths, cycles and sparse G(n, c/n) make both loops run many rounds."""
     batches = [list(all_graphs(6))]  # all 32768 six-vertex graphs in one call
     batches += [list(all_graphs(n)) for n in range(1, 5)]
     # Adjacency rows of 63..65 and 130 vertices end on either side of a 64-bit word.
     batches += [[gnp_sample(n, p, seed) for seed in range(3)] for n in (63, 64, 65, 130) for p in (0.1, 0.5, 0.9)]
+    batches += [[gnp_sample(n, p, seed) for p in (0.2, 0.5, 0.8) for seed in range(10)] for n in (22, 23, 24, 37, 38, 39)]
+    batches += [[_random_tree(n, random.Random(seed)) for seed in range(3)] + [named(f"path({n})"), named(f"cycle({n})")] for n in (60, 130)]
+    batches += [[gnp_sample(n, c / n, seed) for c in (1, 2, 4) for seed in range(2)] for n in (130, 300)]
     for v in (Classic(1), Complementary()):
-        # One graph changes engine between n = _INT_MAX_N[v] and the next n.
-        cross = fastsolve._INT_MAX_N[v]
-        near = [[gnp_sample(n, p, seed) for p in (0.2, 0.5, 0.8) for seed in range(10)] for n in (cross - 1, cross, cross + 1)]
-        for gs in batches + near:
+        for gs in batches:
             one = [fastsolve._int_winner(g, v) for g in gs]
             assert fastsolve._single_cop_batch(gs, gs[0].n, isinstance(v, Complementary)) == one
     assert fastsolve.winners([], Classic(1)) == [] and game_values([], Complementary()) == []
@@ -239,17 +239,19 @@ def _record_engines(monkeypatch, names):
     return calls
 
 
-def test_single_cop_engine_is_chosen_by_graph_count_and_n(monkeypatch):
+def test_single_cop_engine_is_chosen_by_graph_count(monkeypatch):
+    """One graph runs the big-int engine at every n, for each variant it
+    takes; two or more single-cop graphs run the matrix batch."""
     calls = _record_engines(monkeypatch, ("_int_winner", "_single_cop_batch"))
-    two_small = [gnp_sample(6, 0.5, seed) for seed in range(2)]
-    for v in (Classic(1), Complementary()):
-        cross = fastsolve._INT_MAX_N[v]
-        one_at, one_above = gnp_sample(cross, 0.5, 1), gnp_sample(cross + 1, 0.5, 1)
-        for g, engine in ((one_at, "_int_winner"), (one_above, "_single_cop_batch")):
+    for v in (Classic(1), Complementary(), Tandem()):
+        for n in (6, 24, 39, 120):
+            g = gnp_sample(n, 0.5, 1)
             for solve_one in (fastsolve.winner, game_value, lambda g, v: fastsolve.winners([g], v)):
                 calls.clear()
                 solve_one(g, v)
-                assert calls == [engine], (g.n, v)
+                assert calls == ["_int_winner"], (n, v)
+    two_small = [gnp_sample(6, 0.5, seed) for seed in range(2)]
+    for v in (Classic(1), Complementary()):
         for solve_all in (fastsolve.winners, game_values):
             calls.clear()
             solve_all(two_small, v)

@@ -269,6 +269,17 @@ def test_edge_list_refuses_oversized_n_before_allocating(monkeypatch):
         read_edge_list("n 101\n")
 
 
+def test_edges_match_a_pairwise_scan():
+    def scan(g):
+        return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
+
+    # Rows of 63..65 and 130 vertices end on either side of a 64-bit word.
+    for n in (1, 2, 63, 64, 65, 130):
+        gs = [gnp_sample(n, p, seed) for p in (0.05, 0.5) for seed in range(3)]
+        for g in gs + [Graph(n), named(f"complete({n})")]:
+            assert g.edges() == scan(g), g
+
+
 def test_dot_export():
     dot = to_dot(Graph(3, [(0, 1)]))
     assert "0 -- 1;" in dot and "2;" in dot
